@@ -31,6 +31,7 @@ from .spectra import (
 from .winkler import OrientedTree, build_theta1_block_kernel, winkler_kernel
 
 __all__ = [
+    "CheckError",
     "QeVerdict",
     "QecValue",
     "WitnessReport",
@@ -50,6 +51,17 @@ __all__ = [
     "sweep_to_json",
     "run_reference_suite",
 ]
+
+
+class CheckError(RuntimeError):
+    """A computed value failed a consistency check or disagrees with a
+    bundled reference value."""
+
+
+def _require(condition: bool, message: str) -> None:
+    # an explicit raise, unlike assert, also runs under python -O
+    if not condition:
+        raise CheckError(message)
 
 
 @dataclass(frozen=True)
@@ -181,18 +193,16 @@ def qec(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> QecValue:
     d = distance_matrix(g)
     if g.n == 1:
         raise ValueError("the embedding constant needs at least 2 vertices")
-    value, vec = max_eig_on_ones_complement(d, tol=tol)
+    value, vec = max_eig_on_ones_complement(d)
     norm = float(np.linalg.norm(vec))
     total = float(np.sum(vec))
     attained = float(vec @ d @ vec)
-    if abs(norm - 1.0) > 1e-10:
-        raise AssertionError(f"maximizer norm {norm} is not 1")
-    if abs(total) > 1e-10:
-        raise AssertionError(f"maximizer coordinate sum {total} is not 0")
-    if abs(attained - value) > 1e-8:
-        raise AssertionError(
-            f"maximizer attains {attained}, eigenvalue is {value}"
-        )
+    _require(abs(norm - 1.0) <= 1e-10, f"internal error: maximizer norm {norm} is not 1")
+    _require(abs(total) <= 1e-10, f"internal error: maximizer coordinate sum {total} is not 0")
+    _require(
+        abs(attained - value) <= 1e-8,
+        f"internal error: maximizer attains {attained}, eigenvalue is {value}",
+    )
     threshold = tol.psd_rel * max(1.0, float(np.linalg.norm(d)))
     if abs(value) <= tol.auto_escalation * threshold:
         decided = is_cnd(d, mode="exact").is_cnd
@@ -264,11 +274,11 @@ def witness_quadratic_form(k: int) -> int:
     idx = np.array([spec.vertex_index(name) for name in names])
     sub = d[np.ix_(idx, idx)]
     expected = fixtures.WITNESS_BASE + k * fixtures.WITNESS_STEP
-    if not np.array_equal(sub, expected):
-        raise AssertionError(
-            f"designated-vertex distances of {spec.uri()} do not match the "
-            "base-plus-k-step decomposition"
-        )
+    _require(
+        np.array_equal(sub, expected),
+        f"designated-vertex distances of {spec.uri()} do not match the "
+        "base-plus-k-step decomposition",
+    )
     coeffs = np.array(fixtures.WITNESS_COEFFS, dtype=object)
     value = int(coeffs @ sub.astype(object) @ coeffs)
     return value
@@ -411,7 +421,7 @@ def _check(name: str, fn) -> FixtureResult:
     try:
         detail = fn()
         passed = True
-    except AssertionError as exc:
+    except CheckError as exc:
         detail = str(exc)
         passed = False
     except Exception as exc:  # a broken reference input is a failed check
@@ -425,10 +435,6 @@ def _check(name: str, fn) -> FixtureResult:
     )
 
 
-def _spectrum_of(two_k: np.ndarray, tol: Tolerances) -> np.ndarray:
-    return eigen_sym(two_k.astype(float), tol=tol).eigenvalues
-
-
 def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureResult, ...]:
     """Recompute every bundled reference value from scratch and compare."""
     results = []
@@ -438,9 +444,10 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
         g = make_theta(spec)
         kern = winkler_kernel(g, fixtures.reference_tree(spec, g))
         expected = fixtures.reference_two_k(spec)
-        assert np.array_equal(kern.two_k, expected), (
+        _require(
+            np.array_equal(kern.two_k, expected),
             f"2K over the bundled tree of {spec.uri()} differs from the "
-            "stored matrix"
+            "stored matrix",
         )
         return "2K matches the stored 6x6 integer matrix"
 
@@ -451,10 +458,10 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
         def spectrum_check(spec=spec):
             g = make_theta(spec)
             kern = winkler_kernel(g, fixtures.reference_tree(spec, g))
-            got = _spectrum_of(kern.two_k, tol)
+            got = eigen_sym(kern.two_k.astype(float)).eigenvalues
             want = fixtures.reference_spectrum(spec)
             err = float(np.max(np.abs(got - want)))
-            assert err <= 1e-9, f"spectrum error {err} exceeds 1e-9"
+            _require(err <= 1e-9, f"spectrum error {err} exceeds 1e-9")
             return f"spectrum matches closed forms, max error {err:.2e}"
 
         name = "spectrum-{}-{}-{}".format(*spec.legs)
@@ -467,9 +474,10 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
             _, tree = fixtures.theta1_tree(k, l, "even")
             kern = winkler_kernel(tree.graph, tree)
             block = build_theta1_block_kernel(k, l, "even").two_k
-            assert np.array_equal(kern.two_k, block), (
+            _require(
+                np.array_equal(kern.two_k, block),
                 f"kernel of Theta(1, {2 * k}, {2 * l}) differs from its "
-                "block form"
+                "block form",
             )
         return f"tree kernels equal block forms for {len(_KL_PAIRS)} even-leg graphs"
 
@@ -480,9 +488,10 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
             _, tree = fixtures.theta1_tree(k, l, "odd")
             kern = winkler_kernel(tree.graph, tree)
             block = build_theta1_block_kernel(k, l, "odd").two_k
-            assert np.array_equal(kern.two_k, block), (
+            _require(
+                np.array_equal(kern.two_k, block),
                 f"kernel of Theta(1, {2 * k}, {2 * l + 1}) differs from its "
-                "block form"
+                "block form",
             )
         return f"tree kernels equal block forms for {len(_KL_PAIRS)} odd-leg graphs"
 
@@ -493,9 +502,10 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
             for k, l in _KL_PAIRS:
                 block = build_theta1_block_kernel(k, l, parity).two_k.astype(float)
                 radius = np.sum(np.abs(block), axis=1) - np.abs(np.diag(block))
-                assert np.all(np.diag(block) == 2.0), "diagonal is not 2"
-                assert np.all(radius <= 2.0), (
-                    f"off-diagonal row sum exceeds 2 for ({k}, {l}, {parity})"
+                _require(np.all(np.diag(block) == 2.0), "diagonal is not 2")
+                _require(
+                    np.all(radius <= 2.0),
+                    f"off-diagonal row sum exceeds 2 for ({k}, {l}, {parity})",
                 )
         return "unit-diagonal halves have off-diagonal row sums at most 1"
 
@@ -504,8 +514,9 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
     def witness_value_check():
         for k in range(1, 51):
             value = witness_quadratic_form(k)
-            assert value == fixtures.WITNESS_VALUE, (
-                f"witness value {value} at k={k}, expected {fixtures.WITNESS_VALUE}"
+            _require(
+                value == fixtures.WITNESS_VALUE,
+                f"witness value {value} at k={k}, expected {fixtures.WITNESS_VALUE}",
             )
         return f"witness form equals {fixtures.WITNESS_VALUE} for k = 1..50"
 
@@ -515,13 +526,15 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
         coeffs = np.array(fixtures.WITNESS_COEFFS, dtype=np.int64)
         step_part = int(coeffs @ fixtures.WITNESS_STEP @ coeffs)
         head, tail = int(np.sum(coeffs[:7])), int(np.sum(coeffs[7:]))
-        assert head == 0 and tail == 0, (
-            f"witness blocks sum to ({head}, {tail}), expected (0, 0)"
+        _require(
+            head == 0 and tail == 0,
+            f"witness blocks sum to ({head}, {tail}), expected (0, 0)",
         )
-        assert step_part == 0, f"k-dependent part contributes {step_part}"
+        _require(step_part == 0, f"k-dependent part contributes {step_part}")
         base_part = int(coeffs @ fixtures.WITNESS_BASE @ coeffs)
-        assert base_part == fixtures.WITNESS_VALUE, (
-            f"k-free part is {base_part}, expected {fixtures.WITNESS_VALUE}"
+        _require(
+            base_part == fixtures.WITNESS_VALUE,
+            f"k-free part is {base_part}, expected {fixtures.WITNESS_VALUE}",
         )
         return "witness kills the k-dependent block and fixes the value"
 
@@ -529,11 +542,11 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
 
     def sweep_check():
         report = classification_sweep(max_vertices=18, mode="auto", tol=tol)
-        assert report.all_consistent, "decision routes disagree on some theta graph"
+        _require(report.all_consistent, "decision routes disagree on some theta graph")
         got = {r.spec.legs for r in report.rows if r.schoenberg}
         want = {r.spec.legs for r in report.rows if r.spec.legs[0] == 1}
         want |= {(2, 3, 3), (2, 3, 5), (2, 3, 7)}
-        assert got == want, f"embeddable set mismatch: {sorted(got ^ want)}"
+        _require(got == want, f"embeddable set mismatch: {sorted(got ^ want)}")
         return f"all {len(report.rows)} theta graphs up to 18 vertices agree"
 
     results.append(_check("theorem-sweep-18", sweep_check))
@@ -544,13 +557,15 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
             value = qec(g, tol=tol).value
             low, high = qec_theta1_bounds(beta, gamma)
             if beta % 2 == 1 or gamma % 2 == 1:
-                assert abs(value) <= 1e-9, (
-                    f"QEC of Theta(1, {beta}, {gamma}) is {value}, expected 0"
+                _require(
+                    abs(value) <= 1e-9,
+                    f"QEC of Theta(1, {beta}, {gamma}) is {value}, expected 0",
                 )
             else:
-                assert low - 1e-9 <= value <= high + 1e-9, (
+                _require(
+                    low - 1e-9 <= value <= high + 1e-9,
                     f"QEC of Theta(1, {beta}, {gamma}) is {value}, "
-                    f"outside [{low}, {high}]"
+                    f"outside [{low}, {high}]",
                 )
         return "length-1-leg constants sit in their closed-form brackets"
 
@@ -560,8 +575,9 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
         for m in range(3, 16):
             value = qec(make_cycle(m), tol=tol).value
             want = qec_cycle(m)
-            assert abs(value - want) <= 1e-9, (
-                f"QEC of the {m}-cycle is {value}, closed form {want}"
+            _require(
+                abs(value - want) <= 1e-9,
+                f"QEC of the {m}-cycle is {value}, closed form {want}",
             )
         return "cycle constants match closed forms for 3 <= m <= 15"
 

@@ -21,7 +21,7 @@ from .graphs import (
     distance_matrix,
     theta_spec_from_uri,
 )
-from .spectra import JacobiConvergenceError, SpectraError, format_matrix_text
+from .spectra import SpectraError, format_matrix_text
 from .winkler import (
     EmbeddingError,
     TreeError,
@@ -47,17 +47,13 @@ class CliConfig:
 
     mode: str = "auto"
     tol_psd: float = DEFAULT_TOLERANCES.psd_rel
-    tol_resid: float = DEFAULT_TOLERANCES.embed
     output: str = "text"
-    seed: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.tol_psd > 0.0:
             raise ValueError(f"tol_psd must be positive, got {self.tol_psd}")
-        if not self.tol_resid > 0.0:
-            raise ValueError(f"tol_resid must be positive, got {self.tol_resid}")
 
     @property
     def tolerances(self) -> Tolerances:
@@ -66,7 +62,11 @@ class CliConfig:
 
 def _default_mode() -> str:
     env = os.environ.get("QEGRAPH_MODE", "").strip()
-    return env if env in MODES else "auto"
+    if not env:
+        return "auto"
+    if env not in MODES:
+        raise ValueError(f"QEGRAPH_MODE must be one of {', '.join(MODES)}, got {env!r}")
+    return env
 
 
 def _add_common(parser: argparse.ArgumentParser, formats=("text", "json")) -> None:
@@ -90,12 +90,6 @@ def _add_common(parser: argparse.ArgumentParser, formats=("text", "json")) -> No
         help=f"output format (default: {formats[0]})",
     )
     parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed recorded in reports (reserved for randomized checks)",
-    )
-    parser.add_argument(
         "--out",
         metavar="PATH",
         default=None,
@@ -108,7 +102,6 @@ def _config_from(args: argparse.Namespace) -> CliConfig:
         mode=args.mode if args.mode is not None else _default_mode(),
         tol_psd=args.tol_psd,
         output=args.format,
-        seed=args.seed,
     )
 
 
@@ -161,7 +154,6 @@ def _classify_json(args, cfg: CliConfig, g, verdicts) -> str:
         "n": g.n,
         "edges": [list(e) for e in g.edges],
         "mode": cfg.mode,
-        "seed": cfg.seed,
         "verdicts": [
             {
                 "method": v.method,
@@ -228,7 +220,6 @@ def cmd_qec(args: argparse.Namespace) -> int:
                 "qec": result.value,
                 "is_qe": result.is_qe,
                 "maximizer": list(result.maximizer),
-                "seed": cfg.seed,
             },
             indent=2,
         )
@@ -249,7 +240,6 @@ def cmd_kernel(args: argparse.Namespace) -> int:
                 "graph": args.graph,
                 "dim": kern.dim,
                 "two_k": [[int(x) for x in row] for row in kern.two_k],
-                "seed": cfg.seed,
             },
             indent=2,
         )
@@ -382,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         TreeError,
         SpectraError,
         EmbeddingError,
-        JacobiConvergenceError,
+        analysis.CheckError,
         ValueError,
         OSError,
     ) as exc:

@@ -14,11 +14,6 @@ class Tolerances:
     psd_rel
         Relative floating-point semidefiniteness tolerance: a symmetric
         matrix counts as PSD when lambda_min >= -psd_rel * max(1, lambda_max).
-    jacobi_off_rel
-        Convergence target for the Jacobi eigensolver: the off-diagonal
-        Frobenius norm must drop below jacobi_off_rel * ||M||_F.
-    jacobi_max_sweeps
-        Hard sweep limit for the Jacobi eigensolver.
     embed
         Maximum allowed |  ||phi(x)-phi(y)||^2 - d(x,y) | when an explicit
         embedding is reconstructed.
@@ -28,8 +23,6 @@ class Tolerances:
     """
 
     psd_rel: float = 1e-9
-    jacobi_off_rel: float = 1e-12
-    jacobi_max_sweeps: int = 100
     embed: float = 1e-8
     auto_escalation: float = 10.0
 

@@ -1,9 +1,9 @@
 """Symmetric eigensolving and (conditional) definiteness tests, float and exact.
 
-The float route uses a cyclic Jacobi eigensolver; the exact route uses an
-LDL^T factorization with diagonal pivoting over rationals, which decides
-positive semidefiniteness without any tolerance and produces an explicit
-negativity certificate when the answer is no.
+The float route uses LAPACK's symmetric eigensolver through numpy; the exact
+route uses an LDL^T factorization with diagonal pivoting over rationals,
+which decides positive semidefiniteness without any tolerance and produces
+an explicit negativity certificate when the answer is no.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .config import DEFAULT_TOLERANCES, Tolerances, validate_mode
 
 __all__ = [
     "SpectraError",
-    "JacobiConvergenceError",
     "SpectrumResult",
     "PsdVerdict",
     "CndVerdict",
@@ -39,8 +38,9 @@ class SpectraError(ValueError):
     """Invalid matrix input for a spectral operation."""
 
 
-class JacobiConvergenceError(RuntimeError):
-    """The sweep limit was reached before the off-diagonal target."""
+# Deprecated alias kept importable for one release: the LAPACK eigensolver has
+# no sweep limit, and its failures are raised as SpectraError.
+JacobiConvergenceError = SpectraError
 
 
 def _as_float_sym(m) -> np.ndarray:
@@ -79,74 +79,24 @@ class SpectrumResult:
     residual: float
 
 
-def _off_norm_sq(a: np.ndarray) -> float:
-    # summed from the entries themselves: the ||A||^2 - sum(diag^2) form
-    # bottoms out at ||A||^2 * eps and can sit above any relative target
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float((off * off).sum())
+def eigen_sym(m) -> SpectrumResult:
+    """Full eigendecomposition of a symmetric matrix by LAPACK's
+    divide-and-conquer solver (``numpy.linalg.eigh``, driver dsyevd).
 
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    app, aqq = a[p, p], a[q, q]
-    h = aqq - app
-    if abs(h) > 1e150 * abs(apq):  # theta^2 would overflow; small-angle limit
-        t = apq / h
-    else:
-        theta = h / (2.0 * apq)
-        t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-        if theta < 0.0:
-            t = -t
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    # set the annihilated pair and the new diagonal exactly
-    a[p, q] = a[q, p] = 0.0
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-    v[:, p] = c * vec_p - s * vec_q
-    v[:, q] = s * vec_p + c * vec_q
-
-
-def eigen_sym(m, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectrumResult:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Sweeps run until the off-diagonal Frobenius norm falls below
-    tol.jacobi_off_rel * ||M||_F, raising JacobiConvergenceError after
-    tol.jacobi_max_sweeps sweeps.
+    A failure inside the solver is raised as SpectraError.
     """
-    original = _as_float_sym(m)
-    n = original.shape[0]
+    a = _as_float_sym(m)
+    n = a.shape[0]
     if n == 0:
         return SpectrumResult(np.zeros(0), np.zeros((0, 0)), 0.0)
-    a = original.copy()
-    v = np.eye(n)
-    fro = math.sqrt(float((a * a).sum()))
-    target_sq = (tol.jacobi_off_rel * fro) ** 2
-    sweeps = 0
-    while _off_norm_sq(a) > target_sq:
-        if sweeps >= tol.jacobi_max_sweeps:
-            raise JacobiConvergenceError(
-                f"no convergence after {sweeps} sweeps "
-                f"(off-norm {math.sqrt(_off_norm_sq(a)):.3e}, target {math.sqrt(target_sq):.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] != 0.0:
-                    _rotate(a, v, p, q)
-        sweeps += 1
-    lam = np.diag(a).copy()
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    vecs = v[:, order]
-    residual = float(np.abs(original @ vecs - vecs * lam).max()) if n else 0.0
+    try:
+        lam, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as err:
+        raise SpectraError(f"eigensolver failed on a {n}x{n} matrix: {err}") from None
+    # eigh returns ascending order; the contract is descending
+    lam = lam[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    residual = float(np.abs(a @ vecs - vecs * lam).max())
     lam.setflags(write=False)
     vecs.setflags(write=False)
     return SpectrumResult(lam, vecs, residual)
@@ -184,8 +134,20 @@ def psd_certificate_exact(rows: list[list[Fraction]]) -> list[Fraction] | None:
 
     Uses LDL^T elimination with diagonal pivoting: a negative pivot (or a
     zero diagonal with a non-zero residual row) yields a certificate that is
-    lifted back through the eliminations.
+    lifted back through the eliminations.  The elimination recurses once
+    per pivot; a matrix too large for the interpreter's recursion limit
+    raises SpectraError.
     """
+    try:
+        return _ldl_certificate(rows)
+    except RecursionError:
+        raise SpectraError(
+            f"exact elimination of a {len(rows)}x{len(rows)} matrix exceeds the "
+            "interpreter's recursion limit"
+        ) from None
+
+
+def _ldl_certificate(rows: list[list[Fraction]]) -> list[Fraction] | None:
     n = len(rows)
     if n == 0:
         return None
@@ -213,7 +175,7 @@ def psd_certificate_exact(rows: list[list[Fraction]]) -> list[Fraction] | None:
         [rows[a][b] - col[ia] * col[ib] / pivot for ib, b in enumerate(keep)]
         for ia, a in enumerate(keep)
     ]
-    sub = psd_certificate_exact(schur)
+    sub = _ldl_certificate(schur)
     if sub is None:
         return None
     cert = [zero] * n
@@ -241,7 +203,7 @@ def _is_psd_exact(rows: list[list[Fraction]]) -> PsdVerdict:
 def _is_psd_float(a: np.ndarray, tol: Tolerances) -> tuple[PsdVerdict, float]:
     if a.shape[0] == 0:
         return PsdVerdict(is_psd=True, mode_used="float"), 1.0
-    res = eigen_sym(a, tol)
+    res = eigen_sym(a)
     lam_max = float(res.eigenvalues[0])
     lam_min = float(res.eigenvalues[-1])
     bound = tol.psd_rel * max(1.0, lam_max)
@@ -266,7 +228,8 @@ def _is_psd_float(a: np.ndarray, tol: Tolerances) -> tuple[PsdVerdict, float]:
 def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVerdict:
     """Positive-semidefiniteness of a symmetric matrix.
 
-    mode "float" decides from the Jacobi spectrum with the relative tolerance
+    mode "float" decides from the eigenvalues computed by eigen_sym with the
+    relative tolerance
     tol.psd_rel; "exact" decides over rationals with no tolerance (entries
     are converted exactly, so inputs must be integers, Fractions, or binary
     floats such as halves); "auto" runs the float test and escalates to exact
@@ -330,14 +293,12 @@ def reduce_ones_complement(d) -> tuple[np.ndarray, np.ndarray]:
     return r, basis
 
 
-def max_eig_on_ones_complement(
-    d, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[float, np.ndarray]:
+def max_eig_on_ones_complement(d) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of d restricted to the orthogonal complement of the
     all-ones vector, with a unit maximizer in the original coordinates.
     Errors for 1x1 input (no admissible direction)."""
     r, basis = reduce_ones_complement(_check_distance_matrix(d))
-    result = eigen_sym(r, tol)
+    result = eigen_sym(r)
     value = float(result.eigenvalues[0])
     vec = basis @ result.eigenvectors[:, 0]
     return value, vec

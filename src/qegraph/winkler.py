@@ -359,7 +359,7 @@ def reconstruct_embedding(
         vectors = np.zeros((g.n, 0))
         vectors.setflags(write=False)
         return Embedding(vectors=vectors, root=0, max_error=0.0)
-    res = spectra.eigen_sym(kern.as_float(), tol)
+    res = spectra.eigen_sym(kern.as_float())
     lam = res.eigenvalues.copy()
     bound = tol.psd_rel * max(1.0, float(lam[0]))
     if lam[-1] < -bound:

@@ -1,19 +1,25 @@
 """Shared oracles, graph generators, and the test corpus.
 
 Oracles here are deliberately independent of the package internals:
-Floyd-Warshall for distances, numpy's eigensolver for spectra, Prufer
-decoding for exhaustive tree enumeration.
+Floyd-Warshall for distances, Prufer decoding for exhaustive tree
+enumeration.  Spectra are checked against closed forms and planted
+spectra, not against numpy's eigensolver, which the package itself uses.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qegraph
 from qegraph import Graph, OrientedTree, graph_from_uri, is_connected
 
 INF = 10**9
@@ -76,6 +82,20 @@ def two_coloring(g: Graph) -> list[int] | None:
             elif color[w] == color[u]:
                 return None
     return color
+
+
+def run_python(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter (with extra interpreter flags such
+    as -O) that imports this checkout of qegraph, without QEGRAPH_MODE."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qegraph.__file__).resolve().parents[1]))
+    env.pop("QEGRAPH_MODE", None)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:

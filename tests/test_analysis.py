@@ -25,6 +25,8 @@ from qegraph import (
     witness_report,
 )
 
+from conftest import run_python
+
 
 class TestClosedForm:
     @pytest.mark.parametrize(
@@ -230,3 +232,20 @@ class TestReferenceSuite:
         monkeypatch.setattr(fixtures, "reference_two_k", lambda spec: bad)
         results = run_reference_suite()
         assert any(not r.passed for r in results)
+
+    def test_tampered_reference_detected_under_optimize(self):
+        # python -O strips assert statements; the suite's checks must survive it
+        proc = run_python(
+            "from qegraph import ThetaSpec, fixtures, run_reference_suite\n"
+            "assert False, 'asserts are live: not running under -O'\n"
+            "bad = fixtures.reference_two_k(ThetaSpec(2, 3, 3)).copy()\n"
+            "bad[0, 1] = bad[1, 0] = 1\n"
+            "fixtures.reference_two_k = lambda spec: bad\n"
+            "for r in run_reference_suite():\n"
+            "    print(r.name, r.passed)\n",
+            "-O",
+        )
+        assert proc.returncode == 0, proc.stderr
+        verdicts = dict(line.split() for line in proc.stdout.splitlines())
+        assert verdicts.pop("kernel-2-3-3-matrix") == "False"
+        assert set(verdicts.values()) == {"True"}

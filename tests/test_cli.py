@@ -9,6 +9,8 @@ import qegraph
 from qegraph import Graph, distance_matrix, winkler_kernel
 from qegraph.cli import main
 
+from conftest import run_python
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -147,6 +149,37 @@ class TestClassify:
         assert code == 1
         assert json.loads(out)["mode"] == "float"
 
+    def test_invalid_mode_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QEGRAPH_MODE", "bogus")
+        code, out, err = run_cli(capsys, "classify", "theta:2,3,3")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: QEGRAPH_MODE must be one of float, exact, auto, got 'bogus'"
+        ]
+
+    def test_seed_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "path:4", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_exact_recursion_limit_exit_2(self):
+        # the exact elimination recurses once per pivot; a 99x99 kernel runs
+        # past a limit of 60 frames
+        proc = run_python(
+            "import sys\n"
+            "from qegraph.cli import main\n"
+            "sys.setrecursionlimit(60)\n"
+            "sys.exit(main(['classify', 'path:100', '--method', 'winkler', '--mode', 'exact']))\n"
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: exact elimination of a 99x99 matrix exceeds the "
+            "interpreter's recursion limit"
+        ]
+
 
 class TestQecCommand:
     def test_cycle_value(self, capsys):
@@ -160,6 +193,23 @@ class TestQecCommand:
         assert abs(payload["qec"]) <= 1e-9
         assert payload["is_qe"] is True
         assert len(payload["maximizer"]) == 6
+        assert set(payload) == {"graph", "n", "qec", "is_qe", "maximizer"}
+
+    def test_internal_check_failure_exit_2(self, capsys, monkeypatch):
+        from qegraph import analysis
+
+        real = analysis.max_eig_on_ones_complement
+
+        def unnormalized(d):
+            value, vec = real(d)
+            return value, 2.0 * vec
+
+        monkeypatch.setattr(analysis, "max_eig_on_ones_complement", unnormalized)
+        code, out, err = run_cli(capsys, "qec", "cycle:5")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: internal error: maximizer norm 2")
 
 
 class TestKernelCommand:

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qegraph import DEFAULT_TOLERANCES, distance_matrix, eigen_sym, is_cnd, is_psd
+import qegraph
+from qegraph import (
+    DEFAULT_TOLERANCES,
+    distance_matrix,
+    eigen_sym,
+    fixtures,
+    is_cnd,
+    is_psd,
+    make_theta,
+    winkler_kernel,
+)
 from qegraph.spectra import (
     SpectraError,
     format_matrix_text,
@@ -30,13 +40,36 @@ def nprng():
     return np.random.default_rng(20260813)
 
 
+def closed_form_spectra():
+    """(matrix, spectrum) pairs whose spectra are known in closed form."""
+    cases = []
+    for n in (3, 4, 7, 12, 25):
+        a = np.zeros((n, n))
+        i = np.arange(n)
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
+        cases.append((a, 2.0 * np.cos(2.0 * np.pi * i / n)))  # cycle C_n
+    for n in (1, 2, 5, 13, 30):
+        a = np.eye(n, k=1) + np.eye(n, k=-1)
+        k = np.arange(1, n + 1)
+        cases.append((a, 2.0 * np.cos(np.pi * k / (n + 1))))  # path P_n
+    for n in (2, 6, 17):
+        a = np.ones((n, n)) - np.eye(n)
+        cases.append((a, np.array([n - 1.0] + [-1.0] * (n - 1))))  # complete K_n
+    for spec in fixtures.QE_THETA_SPECS:
+        g = make_theta(spec)
+        kern = winkler_kernel(g, fixtures.reference_tree(spec, g))
+        cases.append((kern.two_k, fixtures.reference_spectrum(spec)))
+    return cases
+
+
 class TestEigenSym:
-    def test_matches_numpy_oracle(self, nprng):
-        for n in (1, 2, 3, 5, 8, 13, 21):
-            m = random_symmetric(nprng, n)
-            got = eigen_sym(m)
-            want = np.sort(np.linalg.eigvalsh(m))[::-1]
-            assert np.allclose(got.eigenvalues, want, atol=1e-10)
+    def test_matches_closed_form_spectra(self):
+        for m, want in closed_form_spectra():
+            res = eigen_sym(m)
+            assert np.abs(res.eigenvalues - np.sort(want)[::-1]).max() <= 1e-12 * len(want)
+            v = res.eigenvectors
+            assert np.abs(v.T @ v - np.eye(len(want))).max() <= 1e-12 * len(want)
+            assert res.residual <= 1e-12 * len(want)
 
     def test_reconstruction_and_orthonormality(self, nprng, corpus):
         matrices = [random_symmetric(nprng, n) for n in (2, 4, 7, 12)]
@@ -63,13 +96,35 @@ class TestEigenSym:
         with pytest.raises(SpectraError):
             eigen_sym(np.zeros((2, 3)))
 
-    @given(st.integers(min_value=1, max_value=12), st.integers(0, 2**32 - 1))
+    def test_solver_failure_is_spectra_error(self, monkeypatch):
+        def diverge(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", diverge)
+        with pytest.raises(SpectraError, match="eigensolver failed"):
+            eigen_sym(np.eye(3))
+        assert qegraph.JacobiConvergenceError is SpectraError  # deprecated alias
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_oracle_property(self, n, seed):
-        m = random_symmetric(np.random.default_rng(seed), n)
-        got = eigen_sym(m).eigenvalues
-        want = np.sort(np.linalg.eigvalsh(m))[::-1]
-        assert np.allclose(got, want, atol=1e-9)
+    def test_planted_spectrum_property(self, n, repeated, seed):
+        # Q diag(lam) Q^T with Q orthogonal from a QR factorization has
+        # spectrum lam by construction; integer lam plants repeated eigenvalues
+        rng = np.random.default_rng(seed)
+        lam = rng.integers(-3, 4, size=n).astype(float) if repeated else rng.normal(size=n)
+        lam = np.sort(lam)[::-1]
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        m = (q * lam) @ q.T
+        m = (m + m.T) / 2.0
+        res = eigen_sym(m)
+        assert np.abs(res.eigenvalues - lam).max() <= 1e-12 * n
+        v = res.eigenvectors
+        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12 * n
+        assert res.residual <= 1e-12 * n
 
 
 class TestIsPsd:
