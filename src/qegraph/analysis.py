@@ -210,7 +210,7 @@ def qec(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> QecValue:
         decided = value < 0.0
     return QecValue(
         value=float(value),
-        maximizer=tuple(float(x) for x in vec),
+        maximizer=tuple(vec.tolist()),
         tolerance=threshold,
         is_qe=decided,
     )

@@ -80,7 +80,7 @@ class Graph:
         canon.sort()
         object.__setattr__(self, "edges", tuple(canon))
         if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
+            labels = tuple([str(s) for s in self.labels])  # built from a list, see _adj
             if len(labels) != n:
                 raise GraphError(f"expected {n} labels, got {len(labels)}")
             object.__setattr__(self, "labels", labels)
@@ -88,7 +88,9 @@ class Graph:
         for u, v in canon:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "_adj", tuple(tuple(a) for a in adj))
+        # tuples built from lists: a tuple grown from a generator is resized,
+        # and the interpreter's tuple free lists fill up with such tuples
+        object.__setattr__(self, "_adj", tuple([tuple(a) for a in adj]))
         object.__setattr__(self, "_dist", None)
 
     @property
@@ -176,7 +178,7 @@ class ThetaSpec:
     gamma: int
 
     def __post_init__(self):
-        legs = tuple(_vertex(x) for x in (self.alpha, self.beta, self.gamma))
+        legs = tuple([_vertex(x) for x in (self.alpha, self.beta, self.gamma)])  # see Graph._adj
         if min(legs) < 1:
             raise GraphError(f"leg lengths must be positive, got {legs}")
         if sum(1 for x in legs if x == 1) > 1:

@@ -1,16 +1,18 @@
 """Symmetric eigensolving and (conditional) definiteness tests, float and exact.
 
-The float route uses LAPACK's symmetric eigensolver through numpy; the exact
-route uses an LDL^T factorization with diagonal pivoting over rationals,
-which decides positive semidefiniteness without any tolerance and produces
-an explicit negativity certificate when the answer is no.
+The float route uses LAPACK's symmetric eigensolver through numpy.  The exact
+route scales a rational matrix to integers and runs one iterative
+fraction-free (Bareiss) symmetric elimination with diagonal pivoting over
+Python ints, which decides positive semidefiniteness without any tolerance
+and produces an explicit negativity certificate when the answer is no.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -43,8 +45,22 @@ class SpectraError(ValueError):
 JacobiConvergenceError = SpectraError
 
 
+def _square_rows(m) -> list[list]:
+    try:
+        rows = [list(row) for row in (m.tolist() if isinstance(m, np.ndarray) else m)]
+    except TypeError:
+        raise SpectraError("matrix must be square") from None
+    if any(len(row) != len(rows) for row in rows):
+        raise SpectraError("matrix must be square")
+    return rows
+
+
 def _as_float_sym(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
+    rows = m if isinstance(m, np.ndarray) else _square_rows(m)
+    try:
+        a = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise SpectraError("matrix entries must be finite") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SpectraError(f"matrix must be square, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
@@ -54,19 +70,24 @@ def _as_float_sym(m) -> np.ndarray:
     return a
 
 
-def _as_fraction_rows(m) -> list[list[Fraction]]:
-    if isinstance(m, np.ndarray):
-        rows = [[Fraction(x) for x in row] for row in m.tolist()]
-    else:
-        rows = [[Fraction(x) for x in row] for row in m]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise SpectraError("matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise SpectraError("matrix must be exactly symmetric")
-    return rows
+def _as_integer_sym(m) -> tuple[list[list[int]], int]:
+    """Integer rows A and the positive scale s with m = A / s exactly: s is
+    the lcm of the entries' denominators, so A keeps every verdict of m."""
+    # Each distinct entry is converted once.  The exact path builds no tuple
+    # by spreading a row into arguments or from a generator (certificates are
+    # built from lists): the interpreter keeps freed tuples of up to 19 items
+    # on free lists, and such tuples pile up there, call after call.
+    rows = _square_rows(m)
+    try:
+        exact = {x: Fraction(x) for x in {x for row in rows for x in row}}
+    except (TypeError, ValueError, OverflowError):
+        raise SpectraError("matrix entries must be finite") from None
+    scale = reduce(math.lcm, (f.denominator for f in exact.values()), 1)
+    scaled = {x: f.numerator * (scale // f.denominator) for x, f in exact.items()}
+    rows = [[scaled[x] for x in row] for row in rows]
+    if any(row[j] != rows[j][i] for i, row in enumerate(rows) for j in range(i)):
+        raise SpectraError("matrix must be exactly symmetric")
+    return rows, scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,84 +140,96 @@ class PsdVerdict:
     certificate_value: object | None = None
 
 
-def _quad_form_exact(rows: list[list[Fraction]], v: list[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for i, vi in enumerate(v):
-        if vi:
-            row = rows[i]
-            total += vi * sum(row[j] * vj for j, vj in enumerate(v) if vj)
-    return total
+def _quad_form(rows: list[list[int]], v: list[int]) -> int:
+    support = [(i, vi) for i, vi in enumerate(v) if vi]
+    return sum(vi * sum(rows[i][j] * vj for j, vj in support) for i, vi in support)
+
+
+def _zero_pivot_certificate(block: list[list[int]]) -> list[int] | None:
+    # every diagonal entry is <= 0 here: a negative one is a certificate by
+    # itself, and on a zero diagonal any non-zero a_ij gives e_i -/+ e_j;
+    # an all-zero block is PSD
+    m = len(block)
+    for i in range(m):
+        if block[i][i] < 0:
+            return [int(k == i) for k in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if block[i][j]:
+                v = [0] * m
+                v[i], v[j] = 1, (-1 if block[i][j] > 0 else 1)
+                return v
+    return None
+
+
+def _integer_psd_certificate(rows: list[list[int]]) -> list[int] | None:
+    """None iff the integer symmetric matrix is PSD; otherwise an integer
+    vector v with gcd 1 and <v, Av> < 0.
+
+    Fraction-free (Bareiss) symmetric elimination with diagonal pivoting:
+    each step pivots on the largest live diagonal entry p and updates the
+    live block by (p a_ij - a_ik a_kj) / prev, where prev is the previous
+    pivot.  The division is exact by Sylvester's identity, and the live block
+    stays prev times the Schur complement, so it keeps the definiteness of
+    the remainder.  When no positive pivot is left, the zero-pivot rules give
+    a certificate on the live block, lifted back through the stored pivot
+    rows: x_k = -(row_k . v) / p, scaled by p to stay integral.
+    """
+    block = [row[:] for row in rows]
+    pivots = []  # (position, pivot, pivot row over the block left after it)
+    prev = 1
+    while block:
+        k = max(range(len(block)), key=lambda i: block[i][i])
+        p = block[k][k]
+        if p <= 0:
+            break
+        pivot_row = block.pop(k)
+        del pivot_row[k]
+        for i, row in enumerate(block):
+            c = row.pop(k)
+            if c:
+                block[i] = [(p * x - c * y) // prev for x, y in zip(row, pivot_row)]
+            elif p != prev:
+                block[i] = [p * x // prev for x in row]
+        pivots.append((k, p, pivot_row))
+        prev = p
+    v = _zero_pivot_certificate(block)
+    if v is None:
+        return None
+    for k, p, pivot_row in reversed(pivots):
+        xk = -sum(a * b for a, b in zip(pivot_row, v))
+        v = [p * x for x in v]
+        v.insert(k, xk)
+        g = reduce(math.gcd, v)
+        v = [x // g for x in v]
+    return v
 
 
 def psd_certificate_exact(rows: list[list[Fraction]]) -> list[Fraction] | None:
     """None iff the rational symmetric matrix is PSD; otherwise an exact
     vector v with <v, Mv> < 0.
 
-    Uses LDL^T elimination with diagonal pivoting: a negative pivot (or a
-    zero diagonal with a non-zero residual row) yields a certificate that is
-    lifted back through the eliminations.  The elimination recurses once
-    per pivot; a matrix too large for the interpreter's recursion limit
-    raises SpectraError.
+    The rows are scaled to integers by the lcm of their denominators and
+    decided by an iterative fraction-free (Bareiss) elimination with
+    diagonal pivoting; the certificate is an integer vector with gcd 1.
     """
-    try:
-        return _ldl_certificate(rows)
-    except RecursionError:
-        raise SpectraError(
-            f"exact elimination of a {len(rows)}x{len(rows)} matrix exceeds the "
-            "interpreter's recursion limit"
-        ) from None
+    cert = _integer_psd_certificate(_as_integer_sym(rows)[0])
+    return None if cert is None else [Fraction(x) for x in cert]
 
 
-def _ldl_certificate(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    n = len(rows)
-    if n == 0:
-        return None
-    k = max(range(n), key=lambda i: rows[i][i])
-    pivot = rows[k][k]
-    zero = Fraction(0)
-    if pivot <= 0:
-        # every diagonal entry is <= 0 here
-        for i in range(n):
-            if rows[i][i] < 0:
-                cert = [zero] * n
-                cert[i] = Fraction(1)
-                return cert
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != 0:
-                    cert = [zero] * n
-                    cert[i] = Fraction(1)
-                    cert[j] = Fraction(-1) if rows[i][j] > 0 else Fraction(1)
-                    return cert
-        return None
-    keep = [i for i in range(n) if i != k]
-    col = [rows[i][k] for i in keep]
-    schur = [
-        [rows[a][b] - col[ia] * col[ib] / pivot for ib, b in enumerate(keep)]
-        for ia, a in enumerate(keep)
-    ]
-    sub = _ldl_certificate(schur)
-    if sub is None:
-        return None
-    cert = [zero] * n
-    for ia, a in enumerate(keep):
-        cert[a] = sub[ia]
-    cert[k] = -sum(c * s for c, s in zip(col, sub)) / pivot
-    return cert
-
-
-def _is_psd_exact(rows: list[list[Fraction]]) -> PsdVerdict:
-    cert = psd_certificate_exact(rows)
+def _is_psd_exact(m) -> PsdVerdict:
+    rows, scale = _as_integer_sym(m)
+    cert = _integer_psd_certificate(rows)
     if cert is None:
         return PsdVerdict(is_psd=True, mode_used="exact")
-    value = _quad_form_exact(rows, cert)
+    value = _quad_form(rows, cert)
     if value >= 0:
         raise SpectraError("internal error: exact certificate failed re-validation")
     return PsdVerdict(
         is_psd=False,
         mode_used="exact",
-        certificate=tuple(cert),
-        certificate_value=value,
+        certificate=tuple([Fraction(x) for x in cert]),
+        certificate_value=Fraction(value, scale),
     )
 
 
@@ -229,29 +262,22 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     """Positive-semidefiniteness of a symmetric matrix.
 
     mode "float" decides from the eigenvalues computed by eigen_sym with the
-    relative tolerance
-    tol.psd_rel; "exact" decides over rationals with no tolerance (entries
-    are converted exactly, so inputs must be integers, Fractions, or binary
-    floats such as halves); "auto" runs the float test and escalates to exact
-    when |lambda_min| is within tol.auto_escalation of the tolerance.
+    relative tolerance tol.psd_rel; "exact" decides with no tolerance by
+    integer elimination (entries are scaled exactly to integers, so inputs
+    must be integers, Fractions, or binary floats such as halves); "auto"
+    runs the float test and escalates to exact when |lambda_min| is within
+    tol.auto_escalation of the tolerance.
     """
     validate_mode(mode)
     if mode == "exact":
-        return _is_psd_exact(_as_fraction_rows(m))
+        return _is_psd_exact(m)
     a = _as_float_sym(m)
     verdict, bound = _is_psd_float(a, tol)
     if mode == "float":
         return verdict
     if verdict.lambda_min is not None and abs(verdict.lambda_min) < tol.auto_escalation * bound:
-        exact = _is_psd_exact(_as_fraction_rows(m))
-        return PsdVerdict(
-            is_psd=exact.is_psd,
-            mode_used="exact",
-            lambda_min=verdict.lambda_min,
-            lambda_max=verdict.lambda_max,
-            certificate=exact.certificate,
-            certificate_value=exact.certificate_value,
-        )
+        exact = _is_psd_exact(m)
+        return replace(exact, lambda_min=verdict.lambda_min, lambda_max=verdict.lambda_max)
     return verdict
 
 
@@ -317,48 +343,26 @@ class CndVerdict:
     certificate_value: object | None = None
 
 
-def _difference_reduction_neg(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    # entries of -U^T D U for the difference basis u_i = e_i - e_{i+1}
-    n = len(rows)
-    return [
-        [
-            -(rows[i][j] - rows[i][j + 1] - rows[i + 1][j] + rows[i + 1][j + 1])
-            for j in range(n - 1)
-        ]
-        for i in range(n - 1)
-    ]
-
-
-def _lift_difference_certificate(v: list[Fraction], n: int) -> list[Fraction]:
-    f = [Fraction(0)] * n
-    prev = Fraction(0)
-    for i in range(n - 1):
-        f[i] = v[i] - prev
-        prev = v[i]
-    f[n - 1] = -prev
-    return f
-
-
 def _is_cnd_exact(d) -> CndVerdict:
-    rows = _as_fraction_rows(d)
-    n = len(rows)
-    if n < 2:
+    rows, scale = _as_integer_sym(d)
+    if len(rows) < 2:
         return CndVerdict(is_cnd=True, mode_used="exact")
-    reduced = _difference_reduction_neg(rows)
-    cert = psd_certificate_exact(reduced)
-    if cert is None:
+    # -U^T D U over the basis u_i = e_i - e_r with r the last vertex:
+    # R_ij = d(i, r) + d(j, r) - d(i, j), and f = U v = (v, -sum v)
+    last = rows[-1][:-1]
+    reduced = [[li + lj - dij for lj, dij in zip(last, row)] for li, row in zip(last, rows)]
+    v = _integer_psd_certificate(reduced)
+    if v is None:
         return CndVerdict(is_cnd=True, mode_used="exact")
-    f = _lift_difference_certificate(cert, n)
-    if sum(f) != 0:
-        raise SpectraError("internal error: exact certificate is not orthogonal to ones")
-    value = _quad_form_exact(rows, f)
+    f = v + [-sum(v)]
+    value = _quad_form(rows, f)
     if value <= 0:
         raise SpectraError("internal error: exact certificate failed re-validation")
     return CndVerdict(
         is_cnd=False,
         mode_used="exact",
-        certificate=tuple(f),
-        certificate_value=value,
+        certificate=tuple([Fraction(x) for x in f]),
+        certificate_value=Fraction(value, scale),
     )
 
 
@@ -367,7 +371,8 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     <f, Df> <= 0 for every f orthogonal to the all-ones vector.
 
     Decided as positive semidefiniteness of -D compressed to that
-    complement; modes behave as in is_psd.
+    complement (in exact mode over the integer basis e_i - e_last); modes
+    behave as in is_psd.
     """
     validate_mode(mode)
     a = _check_distance_matrix(d)
@@ -380,14 +385,7 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     verdict, bound = _is_psd_float(-r, tol)
     max_eig = -verdict.lambda_min if verdict.lambda_min is not None else None
     if mode == "auto" and abs(verdict.lambda_min) < tol.auto_escalation * bound:
-        exact = _is_cnd_exact(d)
-        return CndVerdict(
-            is_cnd=exact.is_cnd,
-            mode_used="exact",
-            max_eig=max_eig,
-            certificate=exact.certificate,
-            certificate_value=exact.certificate_value,
-        )
+        return replace(_is_cnd_exact(d), max_eig=max_eig)
     if verdict.is_psd:
         return CndVerdict(is_cnd=True, mode_used="float", max_eig=max_eig)
     f = basis @ np.asarray(verdict.certificate)

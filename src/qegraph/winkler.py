@@ -95,7 +95,8 @@ class OrientedTree:
 
     def __post_init__(self):
         g = self.graph
-        orientation = tuple((int(a), int(b)) for a, b in self.orientation)
+        # tuples built from lists, see graphs.Graph._adj
+        orientation = tuple([(int(a), int(b)) for a, b in self.orientation])
         if len(orientation) != g.n_edges:
             raise TreeError(f"expected {g.n_edges} oriented host edges, got {len(orientation)}")
         directed = {}
@@ -103,7 +104,7 @@ class OrientedTree:
             if {a, b} != {u, v}:
                 raise TreeError(f"orientation entry ({a}, {b}) does not match host edge ({u}, {v})")
             directed[(u, v)] = (a, b)
-        tree = tuple((int(a), int(b)) for a, b in self.tree_edges)
+        tree = tuple([(int(a), int(b)) for a, b in self.tree_edges])
         if len(tree) != g.n - 1:
             raise TreeError(f"spanning tree needs {g.n - 1} edges, got {len(tree)}")
         uf = _UnionFind(g.n)
@@ -157,9 +158,7 @@ def default_orientation_and_tree(g: Graph) -> OrientedTree:
     if len(tree) != g.n - 1:
         missing = layer.index(-1)
         raise GraphError(f"graph is not connected: vertices 0 and {missing} have no joining path")
-    orientation = tuple(
-        (u, v) if layer[u] <= layer[v] else (v, u) for u, v in g.edges
-    )
+    orientation = tuple([(u, v) if layer[u] <= layer[v] else (v, u) for u, v in g.edges])
     return OrientedTree(g, tuple(tree), orientation)
 
 

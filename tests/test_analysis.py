@@ -1,15 +1,18 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qegraph import (
+    Graph,
     ThetaSpec,
     classification_sweep,
     classify_schoenberg,
     classify_theta_closed_form,
     classify_winkler,
+    default_orientation_and_tree,
     distance_matrix,
     is_isometrically_embedded,
     make_cycle,
@@ -25,7 +28,7 @@ from qegraph import (
     witness_report,
 )
 
-from conftest import run_python
+from conftest import floyd_warshall, run_python
 
 
 class TestClosedForm:
@@ -147,6 +150,45 @@ class TestIsometricMonotonicity:
             h = make_cycle(len(ring))
             assert is_isometrically_embedded(h, g, dict(enumerate(ring)))
             assert qec(h).value <= qec(g).value + 1e-8, legs
+
+
+def glue(g: Graph, h: Graph) -> Graph:
+    """g and h identified at their vertex 0; h's other vertices follow g's."""
+    label = [0] + list(range(g.n, g.n + h.n - 1))
+    return Graph(g.n + h.n - 1, g.edges + tuple((label[u], label[v]) for u, v in h.edges))
+
+
+def quadratic_form(m: list[list[int]], x: list[Fraction]) -> Fraction:
+    return sum(xi * m[i][j] * xj for i, xi in enumerate(x) for j, xj in enumerate(x) if xi and xj)
+
+
+class TestVertexGluing:
+    # Gluing two QE graphs at one vertex is QE: embed them in orthogonal
+    # subspaces with the glued vertex at the origin.  Gluing keeps each part
+    # isometric, so a non-QE part keeps the whole graph non-QE.  About 100
+    # vertices, decided exactly on both routes.
+    def test_two_odd_cycles_glued_are_qe(self):
+        g = glue(make_cycle(51), make_cycle(51))
+        assert g.n == 101
+        for classify in (classify_schoenberg, classify_winkler):
+            verdict = classify(g, mode="exact")
+            assert verdict.is_qe and verdict.mode_used == "exact", verdict.method
+
+    def test_non_qe_theta_glued_to_path_has_checked_certificates(self):
+        g = glue(make_theta(ThetaSpec(2, 3, 9)), make_path(88))
+        assert g.n == 100
+        d = floyd_warshall(g).tolist()
+        s = classify_schoenberg(g, mode="exact")
+        assert not s.is_qe and s.mode_used == "exact"
+        f = [Fraction(x) for x in s.evidence["certificate"]]
+        assert sum(f) == 0 and quadratic_form(d, f) > 0
+        w = classify_winkler(g, mode="exact")
+        assert not w.is_qe and w.mode_used == "exact"
+        tree = default_orientation_and_tree(g).tree_edges
+        assert len(tree) == g.n - 1 and {tuple(sorted(e)) for e in tree} <= set(g.edges)
+        two_k = [[d[a][bb] - d[a][aa] - d[b][bb] + d[b][aa] for aa, bb in tree] for a, b in tree]
+        x = [Fraction(v) for v in w.evidence["certificate"]]
+        assert quadratic_form(two_k, x) < 0
 
 
 class TestWitness:

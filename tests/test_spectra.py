@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -192,6 +193,85 @@ class TestIsPsd:
         )
         assert value < 0
         assert psd_certificate_exact([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) is None
+
+    def test_nan_entry_is_spectra_error(self):
+        for m in (np.array([[np.nan]]), [[float("nan")]]):
+            for mode in ("float", "exact", "auto"):
+                with pytest.raises(SpectraError, match="must be finite"):
+                    is_psd(m, mode=mode)
+
+    def test_infinite_entry_is_spectra_error(self):
+        for m in (np.array([[np.inf]]), [[float("-inf")]]):
+            for mode in ("float", "exact", "auto"):
+                with pytest.raises(SpectraError, match="must be finite"):
+                    is_psd(m, mode=mode)
+
+    def test_ragged_rows_are_spectra_error(self):
+        for mode in ("float", "exact", "auto"):
+            with pytest.raises(SpectraError, match="must be square"):
+                is_psd([[1, 2], [2]], mode=mode)
+            with pytest.raises(SpectraError, match="must be square"):
+                is_cnd([[0, 2], [2]], mode=mode)
+
+
+def leibniz_det(m: list[list[Fraction]]) -> Fraction:
+    """Determinant by permutation expansion, the sign from inversion counts."""
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def all_principal_minors_nonnegative(m: list[list[Fraction]]) -> bool:
+    n = len(m)
+    return all(
+        leibniz_det([[m[i][j] for j in idx] for i in idx]) >= 0
+        for k in range(1, n + 1)
+        for idx in itertools.combinations(range(n), k)
+    )
+
+
+class TestExactCore:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.sampled_from(("symmetric", "planted", "zero-diagonal")),
+        st.sampled_from((1, 2, 3, 7, 21)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_principal_minor_oracle(self, n, kind, denominator, seed):
+        # planted B^T B is PSD (singular when B has fewer rows than columns);
+        # a zeroed diagonal exercises the zero-pivot certificate rules, and
+        # dividing by a non-dyadic denominator the lcm scaling
+        rng = np.random.default_rng(seed)
+        if kind == "planted":
+            b = rng.integers(-2, 3, size=(int(rng.integers(0, n + 1)), n))
+            a = b.T @ b
+        else:
+            a = rng.integers(-3, 4, size=(n, n))
+            a = a + a.T
+            if kind == "zero-diagonal":
+                a[np.diag_indices(n)] = rng.integers(0, 2, size=n) * rng.integers(0, 3, size=n)
+        rows = [[Fraction(int(x), denominator) for x in row] for row in a]
+        expect_psd = all_principal_minors_nonnegative(rows)
+        if kind == "planted":
+            assert expect_psd
+        verdict = is_psd(rows, mode="exact")
+        assert verdict.is_psd == expect_psd
+        cert = psd_certificate_exact(rows)
+        assert (cert is None) == expect_psd
+        if not expect_psd:
+
+            def form(v):
+                return sum(vi * rows[i][j] * vj for i, vi in enumerate(v) for j, vj in enumerate(v))
+
+            assert form(verdict.certificate) == verdict.certificate_value < 0
+            assert form(cert) < 0
 
 
 class TestCnd:
