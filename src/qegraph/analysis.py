@@ -22,12 +22,7 @@ import numpy as np
 from . import fixtures
 from .config import DEFAULT_TOLERANCES, Tolerances, validate_mode
 from .graphs import Graph, ThetaSpec, distance_matrix, make_cycle, make_theta
-from .spectra import (
-    eigen_sym,
-    is_cnd,
-    is_psd,
-    max_eig_on_ones_complement,
-)
+from .spectra import eigen_sym, is_cnd, is_psd
 from .winkler import OrientedTree, build_theta1_block_kernel, winkler_kernel
 
 __all__ = [
@@ -174,26 +169,28 @@ def classify_winkler(
 
 @dataclass(frozen=True)
 class QecValue:
-    """Largest eigenvalue of the distance matrix restricted to the
-    orthogonal complement of the all-ones vector, with a unit maximizer.
+    """Quadratic embedding constant: the largest eigenvalue of the distance
+    matrix restricted to the orthogonal complement of the all-ones vector,
+    with a unit maximizer.
 
-    ``is_qe`` follows the sign of ``value``, except that values inside the
-    escalation window around zero (``tolerance`` scaled by the escalation
-    factor) are re-decided in exact arithmetic rather than trusted to float
-    error.  ``tolerance`` is psd_rel times max(1, Frobenius norm).
+    All three fields come from one ``is_cnd(d, mode="auto")`` call, so
+    ``is_qe`` is the Schoenberg verdict on the same matrix: the sign of
+    ``value``, re-decided in exact arithmetic when ``value`` is too close to
+    zero to trust.
     """
 
     value: float
     maximizer: tuple[float, ...]
-    tolerance: float
     is_qe: bool
 
 
 def qec(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> QecValue:
-    d = distance_matrix(g)
     if g.n == 1:
         raise ValueError("the embedding constant needs at least 2 vertices")
-    value, vec = max_eig_on_ones_complement(d)
+    d = distance_matrix(g)
+    verdict = is_cnd(d, mode="auto", tol=tol)
+    value = verdict.max_eig
+    vec = np.array(verdict.maximizer)
     norm = float(np.linalg.norm(vec))
     total = float(np.sum(vec))
     attained = float(vec @ d @ vec)
@@ -203,17 +200,7 @@ def qec(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> QecValue:
         abs(attained - value) <= 1e-8,
         f"internal error: maximizer attains {attained}, eigenvalue is {value}",
     )
-    threshold = tol.psd_rel * max(1.0, float(np.linalg.norm(d)))
-    if abs(value) <= tol.auto_escalation * threshold:
-        decided = is_cnd(d, mode="exact").is_cnd
-    else:
-        decided = value < 0.0
-    return QecValue(
-        value=float(value),
-        maximizer=tuple(vec.tolist()),
-        tolerance=threshold,
-        is_qe=decided,
-    )
+    return QecValue(value=value, maximizer=verdict.maximizer, is_qe=verdict.is_cnd)
 
 
 def qec_cycle(m: int) -> float:

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import analysis
 from .config import DEFAULT_TOLERANCES, MODES, Tolerances
@@ -29,7 +28,7 @@ from .winkler import (
     winkler_kernel,
 )
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 EXIT_QE = 0
 EXIT_OK = 0
@@ -39,25 +38,6 @@ EXIT_ERROR = 2
 EXIT_DISAGREE = 3
 
 _METHODS = ("closed-form", "schoenberg", "winkler", "all")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved invocation settings shared by all subcommands."""
-
-    mode: str = "auto"
-    tol_psd: float = DEFAULT_TOLERANCES.psd_rel
-    output: str = "text"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.tol_psd > 0.0:
-            raise ValueError(f"tol_psd must be positive, got {self.tol_psd}")
-
-    @property
-    def tolerances(self) -> Tolerances:
-        return DEFAULT_TOLERANCES.with_psd_rel(self.tol_psd)
 
 
 def _default_mode() -> str:
@@ -97,14 +77,6 @@ def _add_common(parser: argparse.ArgumentParser, formats=("text", "json")) -> No
     )
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        mode=args.mode if args.mode is not None else _default_mode(),
-        tol_psd=args.tol_psd,
-        output=args.format,
-    )
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -121,7 +93,7 @@ def _graph_and_tree(args: argparse.Namespace):
     return g, tree
 
 
-def _verdicts_for(args: argparse.Namespace, cfg: CliConfig):
+def _verdicts_for(args: argparse.Namespace):
     g, tree = _graph_and_tree(args)
     spec = theta_spec_from_uri(args.graph)
     methods = [args.method] if args.method != "all" else None
@@ -138,22 +110,22 @@ def _verdicts_for(args: argparse.Namespace, cfg: CliConfig):
             verdicts.append(analysis.classify_theta_closed_form(spec))
         elif method == "schoenberg":
             verdicts.append(
-                analysis.classify_schoenberg(g, mode=cfg.mode, tol=cfg.tolerances)
+                analysis.classify_schoenberg(g, mode=args.mode, tol=args.tol)
             )
         else:
             verdicts.append(
-                analysis.classify_winkler(g, tree, mode=cfg.mode, tol=cfg.tolerances)
+                analysis.classify_winkler(g, tree, mode=args.mode, tol=args.tol)
             )
     return g, verdicts
 
 
-def _classify_json(args, cfg: CliConfig, g, verdicts) -> str:
+def _classify_json(args, g, verdicts) -> str:
     decisions = {v.is_qe for v in verdicts}
     payload = {
         "graph": args.graph,
         "n": g.n,
         "edges": [list(e) for e in g.edges],
-        "mode": cfg.mode,
+        "mode": args.mode,
         "verdicts": [
             {
                 "method": v.method,
@@ -194,11 +166,10 @@ def _classify_text(args, g, verdicts) -> str:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    g, verdicts = _verdicts_for(args, cfg)
+    g, verdicts = _verdicts_for(args)
     report = (
-        _classify_json(args, cfg, g, verdicts)
-        if cfg.output == "json"
+        _classify_json(args, g, verdicts)
+        if args.format == "json"
         else _classify_text(args, g, verdicts)
     )
     _emit(report, args.out)
@@ -209,10 +180,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_qec(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     g = graph_from_uri(args.graph)
-    result = analysis.qec(g, tol=cfg.tolerances)
-    if cfg.output == "json":
+    result = analysis.qec(g, tol=args.tol)
+    if args.format == "json":
         report = json.dumps(
             {
                 "graph": args.graph,
@@ -231,10 +201,9 @@ def cmd_qec(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     g, tree = _graph_and_tree(args)
     kern = winkler_kernel(g, tree)
-    if cfg.output == "json":
+    if args.format == "json":
         report = json.dumps(
             {
                 "graph": args.graph,
@@ -244,16 +213,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             indent=2,
         )
     else:
-        report = kern.to_text(exact=cfg.mode == "exact")
+        report = kern.to_text(exact=args.mode == "exact")
     _emit(report, args.out)
     return EXIT_OK
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     g = graph_from_uri(args.graph)
     d = distance_matrix(g)
-    if cfg.output == "json":
+    if args.format == "json":
         report = json.dumps(
             {"graph": args.graph, "n": g.n, "d": [[int(x) for x in row] for row in d]},
             indent=2,
@@ -265,10 +233,9 @@ def cmd_distance(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    results = analysis.run_reference_suite(tol=cfg.tolerances)
+    results = analysis.run_reference_suite(tol=args.tol)
     passed = sum(1 for r in results if r.passed)
-    if cfg.output == "json":
+    if args.format == "json":
         report = json.dumps(
             {
                 "results": [
@@ -296,13 +263,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     report = analysis.classification_sweep(
-        max_vertices=args.max_vertices, mode=cfg.mode, tol=cfg.tolerances
+        max_vertices=args.max_vertices, mode=args.mode, tol=args.tol
     )
     body = (
         analysis.sweep_to_json(report)
-        if cfg.output == "json"
+        if args.format == "json"
         else analysis.sweep_to_csv(report)
     )
     qe = sum(1 for r in report.rows if r.closed_form)
@@ -366,6 +332,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # resolved for every subcommand, so a bad QEGRAPH_MODE or --tol-psd
+        # exits 2 whatever the command
+        if args.mode is None:
+            args.mode = _default_mode()
+        args.tol = Tolerances(psd_rel=args.tol_psd)
         return args.func(args)
     except (
         GraphError,

@@ -26,7 +26,6 @@ __all__ = [
     "eigen_sym",
     "is_psd",
     "is_cnd",
-    "max_eig_on_ones_complement",
     "reduce_ones_complement",
     "ones_reflector",
     "psd_certificate_exact",
@@ -39,6 +38,10 @@ __all__ = [
 class SpectraError(ValueError):
     """Invalid matrix input for a spectral operation."""
 
+
+# In auto mode a float verdict is re-decided exactly whenever |lambda_min| is
+# below this multiple of the float tolerance psd_rel * max(1, lambda_max).
+_AUTO_ESCALATION = 10.0
 
 # Deprecated alias kept importable for one release: the LAPACK eigensolver has
 # no sweep limit, and its failures are raised as SpectraError.
@@ -233,17 +236,19 @@ def _is_psd_exact(m) -> PsdVerdict:
     )
 
 
-def _is_psd_float(a: np.ndarray, tol: Tolerances) -> tuple[PsdVerdict, float]:
+def _is_psd_float(a: np.ndarray, tol: Tolerances) -> tuple[PsdVerdict, float, np.ndarray | None]:
+    """The float verdict, its tolerance bound, and the unit eigenvector of
+    lambda_min (None for an empty matrix)."""
     if a.shape[0] == 0:
-        return PsdVerdict(is_psd=True, mode_used="float"), 1.0
+        return PsdVerdict(is_psd=True, mode_used="float"), 1.0, None
     res = eigen_sym(a)
     lam_max = float(res.eigenvalues[0])
     lam_min = float(res.eigenvalues[-1])
+    vec = res.eigenvectors[:, -1]
     bound = tol.psd_rel * max(1.0, lam_max)
     if lam_min >= -bound:
         verdict = PsdVerdict(is_psd=True, mode_used="float", lambda_min=lam_min, lambda_max=lam_max)
     else:
-        vec = res.eigenvectors[:, -1].copy()
         value = float(vec @ a @ vec)
         if value >= 0:
             raise SpectraError("internal error: float certificate failed re-validation")
@@ -255,7 +260,7 @@ def _is_psd_float(a: np.ndarray, tol: Tolerances) -> tuple[PsdVerdict, float]:
             certificate=tuple(vec.tolist()),
             certificate_value=value,
         )
-    return verdict, bound
+    return verdict, bound, vec
 
 
 def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVerdict:
@@ -265,17 +270,17 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     relative tolerance tol.psd_rel; "exact" decides with no tolerance by
     integer elimination (entries are scaled exactly to integers, so inputs
     must be integers, Fractions, or binary floats such as halves); "auto"
-    runs the float test and escalates to exact when |lambda_min| is within
-    tol.auto_escalation of the tolerance.
+    runs the float test and re-decides exactly when |lambda_min| is below
+    ten times the tolerance psd_rel * max(1, lambda_max).
     """
     validate_mode(mode)
     if mode == "exact":
         return _is_psd_exact(m)
     a = _as_float_sym(m)
-    verdict, bound = _is_psd_float(a, tol)
+    verdict, bound, _ = _is_psd_float(a, tol)
     if mode == "float":
         return verdict
-    if verdict.lambda_min is not None and abs(verdict.lambda_min) < tol.auto_escalation * bound:
+    if verdict.lambda_min is not None and abs(verdict.lambda_min) < _AUTO_ESCALATION * bound:
         exact = _is_psd_exact(m)
         return replace(exact, lambda_min=verdict.lambda_min, lambda_max=verdict.lambda_max)
     return verdict
@@ -319,26 +324,25 @@ def reduce_ones_complement(d) -> tuple[np.ndarray, np.ndarray]:
     return r, basis
 
 
-def max_eig_on_ones_complement(d) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of d restricted to the orthogonal complement of the
-    all-ones vector, with a unit maximizer in the original coordinates.
-    Errors for 1x1 input (no admissible direction)."""
-    r, basis = reduce_ones_complement(_check_distance_matrix(d))
-    result = eigen_sym(r)
-    value = float(result.eigenvalues[0])
-    vec = basis @ result.eigenvectors[:, 0]
-    return value, vec
-
-
 @dataclass(frozen=True, eq=False)
 class CndVerdict:
     """Outcome of a conditional-negative-definiteness test of a distance
-    matrix.  For a negative verdict, ``certificate`` is a vector f with
-    sum(f) = 0 and <f, Df> > 0 (the validated form in ``certificate_value``)."""
+    matrix.
+
+    ``max_eig`` is the largest eigenvalue of D compressed to the orthogonal
+    complement of the all-ones vector (the quadratic embedding constant),
+    and ``maximizer`` a unit vector f with sum(f) = 0 that attains it as
+    <f, Df>; both come from the float eigensolve, so they are None in exact
+    mode and for a single vertex.  For a negative verdict, ``certificate`` is
+    a vector f with sum(f) = 0 and <f, Df> > 0 (the validated form in
+    ``certificate_value``); a negative float verdict's certificate is the
+    maximizer itself.
+    """
 
     is_cnd: bool
     mode_used: str
     max_eig: float | None = None
+    maximizer: tuple | None = None
     certificate: tuple | None = None
     certificate_value: object | None = None
 
@@ -372,23 +376,24 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
 
     Decided as positive semidefiniteness of -D compressed to that
     complement (in exact mode over the integer basis e_i - e_last); modes
-    behave as in is_psd.
+    behave as in is_psd.  The float and auto modes also report the largest
+    eigenvalue on the complement and a unit maximizer.
     """
     validate_mode(mode)
     a = _check_distance_matrix(d)
-    n = a.shape[0]
     if mode == "exact":
         return _is_cnd_exact(d)
-    if n < 2:
+    if a.shape[0] < 2:
         return CndVerdict(is_cnd=True, mode_used="float")
     r, basis = reduce_ones_complement(a)
-    verdict, bound = _is_psd_float(-r, tol)
-    max_eig = -verdict.lambda_min if verdict.lambda_min is not None else None
-    if mode == "auto" and abs(verdict.lambda_min) < tol.auto_escalation * bound:
-        return replace(_is_cnd_exact(d), max_eig=max_eig)
+    verdict, bound, vec = _is_psd_float(-r, tol)
+    max_eig = -verdict.lambda_min
+    f = basis @ vec
+    maximizer = tuple(f.tolist())
+    if mode == "auto" and abs(verdict.lambda_min) < _AUTO_ESCALATION * bound:
+        return replace(_is_cnd_exact(d), max_eig=max_eig, maximizer=maximizer)
     if verdict.is_psd:
-        return CndVerdict(is_cnd=True, mode_used="float", max_eig=max_eig)
-    f = basis @ np.asarray(verdict.certificate)
+        return CndVerdict(is_cnd=True, mode_used="float", max_eig=max_eig, maximizer=maximizer)
     value = float(f @ a @ f)
     if value <= 0 or abs(float(f.sum())) > 1e-8:
         raise SpectraError("internal error: float certificate failed re-validation")
@@ -396,7 +401,8 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
         is_cnd=False,
         mode_used="float",
         max_eig=max_eig,
-        certificate=tuple(f.tolist()),
+        maximizer=maximizer,
+        certificate=maximizer,
         certificate_value=value,
     )
 

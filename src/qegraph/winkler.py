@@ -41,6 +41,9 @@ __all__ = [
     "read_tree_file",
 ]
 
+# Largest |  ||phi(x) - phi(y)||^2 - d(x, y) | a reconstructed embedding may show.
+_EMBED_TOL = 1e-8
+
 
 class TreeError(ValueError):
     """Invalid oriented spanning tree."""
@@ -345,7 +348,7 @@ def reconstruct_embedding(
     tolerance of zero are clamped; genuinely negative ones raise
     EmbeddingError), giving one vector per tree edge; vertex vectors follow
     by propagation from vertex 0 along tree edges.  The result is validated
-    against the whole metric within tol.embed.
+    against the whole metric to within 1e-8 (_EMBED_TOL).
     """
     if tree is None:
         tree = default_orientation_and_tree(g)
@@ -383,7 +386,7 @@ def reconstruct_embedding(
     gram = vectors @ vectors.T
     sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram
     max_error = float(np.abs(sq - d).max())
-    if max_error > tol.embed:
+    if max_error > _EMBED_TOL:
         raise EmbeddingError(f"reconstructed distances deviate by {max_error:.3e}")
     vectors.setflags(write=False)
     return Embedding(vectors=vectors, root=0, max_error=max_error)

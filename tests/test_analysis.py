@@ -111,7 +111,10 @@ class TestQec:
 
     def test_sign_consistent_with_schoenberg(self, corpus):
         for uri, g, _ in corpus:
-            assert qec(g).is_qe == classify_schoenberg(g).is_qe, uri
+            constant = qec(g)
+            verdict = classify_schoenberg(g)
+            assert constant.is_qe == verdict.is_qe, uri
+            assert constant.value == verdict.evidence["max_eig_on_ones_complement"], uri
 
     def test_qec_cycle_validation(self):
         with pytest.raises(ValueError):

@@ -158,6 +158,14 @@ class TestClassify:
             "error: QEGRAPH_MODE must be one of float, exact, auto, got 'bogus'"
         ]
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_invalid_psd_tolerance_exit_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "classify", "path:4", "--tol-psd", tol)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: psd tolerance must be finite and positive")
+
     def test_seed_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "path:4", "--seed", "1"])
@@ -192,15 +200,19 @@ class TestQecCommand:
         assert set(payload) == {"graph", "n", "qec", "is_qe", "maximizer"}
 
     def test_internal_check_failure_exit_2(self, capsys, monkeypatch):
+        import dataclasses
+
         from qegraph import analysis
 
-        real = analysis.max_eig_on_ones_complement
+        real = analysis.is_cnd
 
-        def unnormalized(d):
-            value, vec = real(d)
-            return value, 2.0 * vec
+        def unnormalized(*args, **kwargs):
+            verdict = real(*args, **kwargs)
+            return dataclasses.replace(
+                verdict, maximizer=tuple(2.0 * x for x in verdict.maximizer)
+            )
 
-        monkeypatch.setattr(analysis, "max_eig_on_ones_complement", unnormalized)
+        monkeypatch.setattr(analysis, "is_cnd", unnormalized)
         code, out, err = run_cli(capsys, "qec", "cycle:5")
         assert code == 2
         assert out == ""
@@ -312,6 +324,20 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--max-vertices", "4")
         assert code == 2
         assert "at least 5" in err
+
+
+@pytest.mark.parametrize("uri, code", [("path:4", 0), ("theta:2,3,9", 1)])
+def test_console_run_exit_codes(uri, code):
+    # the console script's path through sys.argv and sys.exit, without
+    # needing the package installed
+    proc = run_python(
+        "import sys\n"
+        f"sys.argv = ['qegraph', 'classify', {uri!r}]\n"
+        "from qegraph.cli import run\n"
+        "run()\n"
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"decision: {'QE' if code == 0 else 'NonQE'}"
 
 
 @pytest.mark.skipif(shutil.which("qegraph") is None, reason="entry point not installed")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import qegraph
 from qegraph import (
     DEFAULT_TOLERANCES,
+    Tolerances,
     distance_matrix,
     eigen_sym,
     fixtures,
@@ -20,7 +21,6 @@ from qegraph import (
 from qegraph.spectra import (
     SpectraError,
     format_matrix_text,
-    max_eig_on_ones_complement,
     ones_reflector,
     parse_matrix_text,
     parse_matrix_text_exact,
@@ -276,13 +276,28 @@ class TestExactCore:
 
 class TestCnd:
     def test_matches_reduced_eigenvalue_sign_on_corpus(self, corpus):
+        # the oracle makes no eigensolver call: the maximizer is a feasible
+        # unit vector that attains max_eig, and no random feasible unit
+        # vector does better, so max_eig is the maximum of f^T D f
+        rng = np.random.default_rng(20260813)
         for uri, g, _ in corpus:
             d = distance_matrix(g)
             verdict = is_cnd(d)
-            value, vec = max_eig_on_ones_complement(d)
-            threshold = DEFAULT_TOLERANCES.psd_rel * max(1.0, float(np.linalg.norm(d)))
-            assert verdict.is_cnd == (value <= threshold), uri
-            assert abs(float(vec @ d @ vec) - value) <= 1e-8
+            f = np.array(verdict.maximizer)
+            assert abs(np.linalg.norm(f) - 1.0) <= 1e-10, uri
+            assert abs(f.sum()) <= 1e-10, uri
+            assert abs(float(f @ d @ f) - verdict.max_eig) <= 1e-8, uri
+            samples = rng.normal(size=(200, g.n))
+            samples -= samples.mean(axis=1, keepdims=True)
+            samples /= np.linalg.norm(samples, axis=1, keepdims=True)
+            forms = np.einsum("ki,ij,kj->k", samples, d, samples)
+            assert forms.max() <= verdict.max_eig + 1e-9, uri
+            if abs(verdict.max_eig) > 1e-6:
+                assert verdict.is_cnd == (verdict.max_eig < 0), uri
+            if not verdict.is_cnd and verdict.mode_used == "float":
+                assert verdict.certificate == verdict.maximizer, uri
+            exact = is_cnd(d, mode="exact")
+            assert exact.max_eig is None and exact.maximizer is None, uri
 
     def test_certificate_validity(self, corpus):
         for uri, g, _ in corpus:
@@ -305,6 +320,18 @@ class TestCnd:
             is_cnd(np.array([[1.0, 0.0], [0.0, 1.0]]))  # nonzero diagonal
         with pytest.raises(SpectraError):
             is_cnd(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative distance
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_psd_rel_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Tolerances(psd_rel=value)
+        with pytest.raises(ValueError, match="finite and positive"):
+            DEFAULT_TOLERANCES.with_psd_rel(value)
+
+    def test_valid_psd_rel_is_kept(self):
+        assert DEFAULT_TOLERANCES.with_psd_rel(1e-3) == Tolerances(psd_rel=1e-3)
 
 
 class TestOnesComplement:
