@@ -307,10 +307,6 @@ class SweepReport:
     rows: tuple[SweepRow, ...] = field(repr=False)
 
     @property
-    def qe_specs(self) -> tuple[ThetaSpec, ...]:
-        return tuple(r.spec for r in self.rows if r.closed_form)
-
-    @property
     def all_consistent(self) -> bool:
         return all(r.consistent for r in self.rows)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 MODES = ("float", "exact", "auto")
 
@@ -25,9 +25,6 @@ class Tolerances:
         # written as a range test so that NaN, which compares false, fails it
         if not 0.0 < self.psd_rel < math.inf:
             raise ValueError(f"psd tolerance must be finite and positive, got {self.psd_rel!r}")
-
-    def with_psd_rel(self, value: float) -> "Tolerances":
-        return replace(self, psd_rel=value)
 
 
 DEFAULT_TOLERANCES = Tolerances()

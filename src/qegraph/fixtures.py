@@ -144,11 +144,7 @@ def theta1_tree(k: int, l: int, parity: str) -> tuple[Graph, OrientedTree]:
         tree = y_edges + z_edges[: 2 * l - 1]  # drop the last z-edge
     else:
         tree = y_edges + z_edges[:l] + z_edges[l + 1:]  # drop the middle z-edge
-    directed = {}
-    for a, b in [(0, 1), *y_edges, *z_edges]:
-        directed[(a, b) if a < b else (b, a)] = (a, b)
-    orientation = tuple(directed[e] for e in g.edges)
-    return g, OrientedTree(g, tuple(tree), orientation)
+    return g, OrientedTree(g, tuple(tree))
 
 
 WITNESS_VALUE = 16272

@@ -43,10 +43,6 @@ class SpectraError(ValueError):
 # below this multiple of the float tolerance psd_rel * max(1, lambda_max).
 _AUTO_ESCALATION = 10.0
 
-# Deprecated alias kept importable for one release: the LAPACK eigensolver has
-# no sweep limit, and its failures are raised as SpectraError.
-JacobiConvergenceError = SpectraError
-
 
 def _square_rows(m) -> list[list]:
     try:

@@ -5,8 +5,12 @@ e_i = (a_i, b_i), the kernel is
 
     K(e_i, e_j) = (d(a_i, b_j) - d(a_i, a_j) - d(b_i, b_j) + d(b_i, a_j)) / 2.
 
-Its positive semidefiniteness is equivalent to the existence of a quadratic
-embedding of the graph, independently of the chosen tree and orientation.
+With D the distance matrix and B the incidence matrix whose column i is
+e_{a_i} - e_{b_i}, this is 2K = -B^T D B: D compressed to the complement of
+the all-ones vector in the tree-edge basis.  The kernel depends on the
+directed tree edges and D alone.  Its positive semidefiniteness is equivalent
+to the existence of a quadratic embedding of the graph, independently of the
+chosen tree and edge directions.
 """
 
 from __future__ import annotations
@@ -84,85 +88,55 @@ class _UnionFind:
 
 @dataclass(frozen=True, eq=False)
 class OrientedTree:
-    """A spanning tree of a host graph with a direction for every host edge.
+    """A spanning tree of a host graph, given by its directed edges.
 
-    ``tree_edges`` lists the tree's directed edges in a significant order (it
-    fixes the kernel's row order).  ``orientation`` assigns a directed pair to
-    every host edge, aligned with graph.edges; tree edge directions must
-    agree with it.
+    ``tree_edges`` lists the tree's directed edges (a, b) in a significant
+    order: it fixes the kernel's row order, and each direction fixes the sign
+    of its incidence column e_a - e_b.  Construction checks that there are
+    n - 1 of them, that each is a host edge and that none closes a cycle.
     """
 
     graph: Graph
     tree_edges: tuple[tuple[int, int], ...]
-    orientation: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         g = self.graph
         # tuples built from lists, see graphs.Graph._adj
-        orientation = tuple([(int(a), int(b)) for a, b in self.orientation])
-        if len(orientation) != g.n_edges:
-            raise TreeError(f"expected {g.n_edges} oriented host edges, got {len(orientation)}")
-        directed = {}
-        for (a, b), (u, v) in zip(orientation, g.edges):
-            if {a, b} != {u, v}:
-                raise TreeError(f"orientation entry ({a}, {b}) does not match host edge ({u}, {v})")
-            directed[(u, v)] = (a, b)
         tree = tuple([(int(a), int(b)) for a, b in self.tree_edges])
         if len(tree) != g.n - 1:
             raise TreeError(f"spanning tree needs {g.n - 1} edges, got {len(tree)}")
         uf = _UnionFind(g.n)
         for a, b in tree:
-            key = (a, b) if a < b else (b, a)
-            if key not in directed:
+            if not g.has_edge(a, b):
                 raise TreeError(f"tree edge ({a}, {b}) is not a host edge")
-            if directed[key] != (a, b):
-                raise TreeError(f"tree edge ({a}, {b}) contradicts the host orientation {directed[key]}")
             if not uf.union(a, b):
                 raise TreeError(f"tree edge ({a}, {b}) closes a cycle")
         object.__setattr__(self, "tree_edges", tree)
-        object.__setattr__(self, "orientation", orientation)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.tree_edges)
-
-    def direction(self, u: int, v: int) -> tuple[int, int]:
-        """The directed version of host edge {u, v}."""
-        key = (u, v) if u < v else (v, u)
-        try:
-            pos = self.graph.edges.index(key)
-        except ValueError:
-            raise TreeError(f"({u}, {v}) is not a host edge") from None
-        return self.orientation[pos]
 
     def omitted_edges(self) -> tuple[tuple[int, int], ...]:
-        """Host edges outside the tree, as directed pairs."""
+        """Host edges outside the tree, as pairs (u, v) with u < v."""
         in_tree = {(a, b) if a < b else (b, a) for a, b in self.tree_edges}
-        return tuple(
-            o for o, e in zip(self.orientation, self.graph.edges) if e not in in_tree
-        )
+        return tuple([e for e in self.graph.edges if e not in in_tree])
 
 
 def default_orientation_and_tree(g: Graph) -> OrientedTree:
-    """Canonical tree and orientation: breadth-first tree rooted at vertex 0
-    with edges in discovery order, every host edge directed from the lower
-    BFS layer to the higher, same-layer edges from the lower vertex index."""
-    layer = [-1] * g.n
-    layer[0] = 0
+    """Canonical tree: breadth-first tree rooted at vertex 0 with edges in
+    discovery order, each directed away from the root."""
+    seen = [False] * g.n
+    seen[0] = True
     order = deque((0,))
     tree = []
     while order:
         u = order.popleft()
         for w in g.neighbors(u):
-            if layer[w] < 0:
-                layer[w] = layer[u] + 1
+            if not seen[w]:
+                seen[w] = True
                 tree.append((u, w))
                 order.append(w)
     if len(tree) != g.n - 1:
-        missing = layer.index(-1)
+        missing = seen.index(False)
         raise GraphError(f"graph is not connected: vertices 0 and {missing} have no joining path")
-    orientation = tuple([(u, v) if layer[u] <= layer[v] else (v, u) for u, v in g.edges])
-    return OrientedTree(g, tuple(tree), orientation)
+    return OrientedTree(g, tuple(tree))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +179,11 @@ class KernelMatrix:
 
 def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     """Kernel matrix of g over an oriented spanning tree (default: the
-    canonical BFS tree), rows following the tree's edge order."""
+    canonical BFS tree), rows following the tree's edge order.
+
+    With B the incidence matrix whose column for tree edge (a, b) is
+    e_a - e_b, 2K = -B^T D B: one row gather and one column gather per
+    endpoint list."""
     if tree is None:
         tree = default_orientation_and_tree(g)
     elif tree.graph is not g and tree.graph != g:
@@ -213,15 +191,9 @@ def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     d = distance_matrix(g)
     if not tree.tree_edges:
         return KernelMatrix(np.zeros((0, 0), dtype=np.int64))
-    heads = np.fromiter((a for a, _ in tree.tree_edges), dtype=np.int64)
-    tails = np.fromiter((b for _, b in tree.tree_edges), dtype=np.int64)
-    two = (
-        d[np.ix_(heads, tails)]
-        - d[np.ix_(heads, heads)]
-        - d[np.ix_(tails, tails)]
-        + d[np.ix_(tails, heads)]
-    )
-    return KernelMatrix(two)
+    heads, tails = np.array(tree.tree_edges, dtype=np.int64).T
+    x = d[heads] - d[tails]  # rows of B^T D
+    return KernelMatrix(x[:, tails] - x[:, heads])
 
 
 @dataclass(frozen=True)
@@ -325,10 +297,9 @@ def build_theta1_block_kernel(k: int, l: int, parity: str) -> KernelMatrix:
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """Vectors realizing squared Euclidean distances equal to the graph
-    metric; the root vertex sits at the origin."""
+    metric; vertex 0 sits at the origin."""
 
     vectors: np.ndarray
-    root: int
     max_error: float
 
     def squared_distance(self, x: int, y: int) -> float:
@@ -339,28 +310,25 @@ class Embedding:
 def reconstruct_embedding(
     g: Graph,
     tree: OrientedTree | None = None,
-    kern: KernelMatrix | None = None,
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> Embedding:
     """Explicit quadratic embedding of g built from a PSD tree kernel.
 
-    The kernel is factored through its eigendecomposition (eigenvalues within
-    tolerance of zero are clamped; genuinely negative ones raise
-    EmbeddingError), giving one vector per tree edge; vertex vectors follow
-    by propagation from vertex 0 along tree edges.  The result is validated
+    The kernel over the tree (default: the canonical BFS tree) is factored
+    through its eigendecomposition (eigenvalues within tolerance of zero are
+    clamped; genuinely negative ones raise EmbeddingError), giving one vector
+    per tree edge.  Vertex 0 sits at the origin, and the other vertex vectors
+    follow by propagation along tree edges.  The result is validated
     against the whole metric to within 1e-8 (_EMBED_TOL).
     """
     if tree is None:
         tree = default_orientation_and_tree(g)
-    if kern is None:
-        kern = winkler_kernel(g, tree)
-    if kern.dim != len(tree.tree_edges):
-        raise EmbeddingError(f"kernel between {kern.dim} edges does not fit {len(tree.tree_edges)} tree edges")
+    kern = winkler_kernel(g, tree)
     d = distance_matrix(g)
     if kern.dim == 0:
         vectors = np.zeros((g.n, 0))
         vectors.setflags(write=False)
-        return Embedding(vectors=vectors, root=0, max_error=0.0)
+        return Embedding(vectors=vectors, max_error=0.0)
     res = spectra.eigen_sym(kern.as_float())
     lam = res.eigenvalues.copy()
     bound = tol.psd_rel * max(1.0, float(lam[0]))
@@ -389,7 +357,7 @@ def reconstruct_embedding(
     if max_error > _EMBED_TOL:
         raise EmbeddingError(f"reconstructed distances deviate by {max_error:.3e}")
     vectors.setflags(write=False)
-    return Embedding(vectors=vectors, root=0, max_error=max_error)
+    return Embedding(vectors=vectors, max_error=max_error)
 
 
 def zeta_path_signs(tree: OrientedTree, x: int, y: int) -> list[tuple[tuple[int, int], int]]:
@@ -425,8 +393,8 @@ def zeta_path_signs(tree: OrientedTree, x: int, y: int) -> list[tuple[tuple[int,
 
 def parse_tree_text(text: str, g: Graph) -> OrientedTree:
     """Parse a tree override for g: one directed edge "a b" per line, order
-    significant; '#' comments and blank lines allowed.  Unlisted host edges
-    get the default low-to-high direction."""
+    significant; '#' comments and blank lines allowed.  The edges must form a
+    spanning tree of g (TreeError otherwise)."""
     tree = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -439,12 +407,7 @@ def parse_tree_text(text: str, g: Graph) -> OrientedTree:
             tree.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise TreeError(f"tree endpoints must be integers, got {line!r}") from None
-    chosen = {}
-    for a, b in tree:
-        key = (a, b) if a < b else (b, a)
-        chosen[key] = (a, b)
-    orientation = tuple(chosen.get(e, e) for e in g.edges)
-    return OrientedTree(g, tuple(tree), orientation)
+    return OrientedTree(g, tuple(tree))
 
 
 def format_tree_text(tree: OrientedTree) -> str:

@@ -136,17 +136,12 @@ def random_spanning_tree(rng: random.Random, g: Graph) -> tuple[tuple[int, int],
 
 
 def random_oriented_tree(rng: random.Random, g: Graph) -> OrientedTree:
-    """Random spanning tree with every host edge randomly directed."""
+    """Random spanning tree with every tree edge randomly directed."""
     tree = tuple(
         (u, v) if rng.random() < 0.5 else (v, u)
         for u, v in random_spanning_tree(rng, g)
     )
-    directed = {tuple(sorted(e)): e for e in tree}
-    orientation = tuple(
-        directed.get(e, e if rng.random() < 0.5 else (e[1], e[0]))
-        for e in g.edges
-    )
-    return OrientedTree(g, tree, orientation)
+    return OrientedTree(g, tree)
 
 
 # (uri, is_qe or None when not pinned by a closed form)

@@ -347,3 +347,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "decision: QE" in proc.stdout
+
+
+def test_runtime_imports_are_stdlib_and_numpy():
+    # the runtime dependency is numpy alone: importing the package and its
+    # CLI may add only stdlib modules, numpy and qegraph itself (modules the
+    # interpreter's site hooks load at startup are already in `before`)
+    proc = run_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qegraph, qegraph.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(added - sys.stdlib_module_names)))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == {"numpy", "qegraph"}

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qegraph
 from qegraph import (
-    DEFAULT_TOLERANCES,
     Tolerances,
     distance_matrix,
     eigen_sym,
@@ -104,7 +102,6 @@ class TestEigenSym:
         monkeypatch.setattr(np.linalg, "eigh", diverge)
         with pytest.raises(SpectraError, match="eigensolver failed"):
             eigen_sym(np.eye(3))
-        assert qegraph.JacobiConvergenceError is SpectraError  # deprecated alias
 
     @given(
         st.integers(min_value=1, max_value=40),
@@ -327,11 +324,9 @@ class TestTolerances:
     def test_psd_rel_must_be_finite_and_positive(self, value):
         with pytest.raises(ValueError, match="finite and positive"):
             Tolerances(psd_rel=value)
-        with pytest.raises(ValueError, match="finite and positive"):
-            DEFAULT_TOLERANCES.with_psd_rel(value)
 
     def test_valid_psd_rel_is_kept(self):
-        assert DEFAULT_TOLERANCES.with_psd_rel(1e-3) == Tolerances(psd_rel=1e-3)
+        assert Tolerances(psd_rel=1e-3).psd_rel == 1e-3
 
 
 class TestOnesComplement:

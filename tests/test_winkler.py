@@ -13,6 +13,7 @@ from qegraph import (
     classify_edge_pair,
     default_orientation_and_tree,
     distance_matrix,
+    graph_from_uri,
     is_psd,
     make_cycle,
     make_path,
@@ -23,7 +24,12 @@ from qegraph import (
 )
 from qegraph.winkler import format_tree_text, parse_tree_text
 
-from conftest import all_labeled_trees, random_oriented_tree
+from conftest import (
+    all_labeled_trees,
+    floyd_warshall,
+    random_connected_graph,
+    random_oriented_tree,
+)
 
 
 class TestOrientedTree:
@@ -37,19 +43,19 @@ class TestOrientedTree:
 
     def test_validation_errors(self):
         g = make_cycle(4)
-        orientation = g.edges
         with pytest.raises(TreeError):
-            OrientedTree(g, g.edges, orientation)  # too many edges
+            OrientedTree(g, g.edges)  # too many edges
         with pytest.raises(TreeError):
-            OrientedTree(g, ((0, 1), (1, 2), (0, 2)), orientation)  # not host edge
+            OrientedTree(g, ((0, 1), (1, 2), (0, 2)))  # not host edge
         with pytest.raises(TreeError):
-            OrientedTree(g, ((0, 1), (1, 2), (0, 1)), orientation)  # repeat
+            OrientedTree(g, ((0, 1), (1, 2), (2, 9)))  # vertex out of range
+        with pytest.raises(TreeError):
+            OrientedTree(g, ((0, 1), (1, 2), (3, -1)))  # negative vertex
+        with pytest.raises(TreeError):
+            OrientedTree(g, ((0, 1), (1, 2), (0, 1)))  # repeat
         cyc = ((0, 1), (1, 2), (2, 3), (3, 0))
         with pytest.raises(TreeError):
-            OrientedTree(g, cyc[:3] + ((3, 0),), orientation)
-        with pytest.raises(TreeError):
-            # tree edge direction contradicts the orientation list
-            OrientedTree(g, ((1, 0), (1, 2), (2, 3)), orientation)
+            OrientedTree(g, cyc[:3] + ((3, 0),))
 
     def test_omitted_edges(self):
         g = make_theta(ThetaSpec(2, 3, 3))
@@ -94,11 +100,21 @@ class TestKernel:
         flipped_edges = tuple(
             (b, a) if f else (a, b) for (a, b), f in zip(tree.tree_edges, flip)
         )
-        directed = {tuple(sorted(e)): e for e in flipped_edges}
-        orientation = tuple(directed.get(e, e) for e in g.edges)
-        kern2 = winkler_kernel(g, OrientedTree(g, flipped_edges, orientation))
+        kern2 = winkler_kernel(g, OrientedTree(g, flipped_edges))
         signs = np.diag([-1 if f else 1 for f in flip])
         assert np.array_equal(kern2.two_k, signs @ kern.two_k @ signs)
+
+    def test_entries_match_definition_at_scale(self, rng):
+        # random trees with random directions on graphs of a few hundred
+        # vertices, each entry against the four-distance definition
+        for g in (graph_from_uri("cycle:301"), random_connected_graph(rng, 200, 0.04)):
+            tree = random_oriented_tree(rng, g)
+            d = floyd_warshall(g).tolist()
+            want = [
+                [d[a][b2] - d[a][a2] - d[b][b2] + d[b][a2] for a2, b2 in tree.tree_edges]
+                for a, b in tree.tree_edges
+            ]
+            assert winkler_kernel(g, tree).two_k.tolist() == want, g.n
 
     def test_kernel_rejects_foreign_tree(self):
         g1, g2 = make_cycle(4), make_cycle(5)
@@ -184,7 +200,7 @@ class TestBlockKernels:
 class TestZetaSigns:
     def test_path_with_and_against_orientation(self):
         g = make_path(4)
-        tree = OrientedTree(g, ((0, 1), (2, 1), (2, 3)), ((0, 1), (2, 1), (2, 3)))
+        tree = OrientedTree(g, ((0, 1), (2, 1), (2, 3)))
         assert zeta_path_signs(tree, 0, 3) == [
             ((0, 1), 1),
             ((2, 1), -1),
