@@ -254,7 +254,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     else:
         lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
+            f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.elapsed * 1e3:.1f} ms): {r.detail}"
+            for r in results
         ]
         lines.append(f"{passed}/{len(results)} fixtures pass")
         report = "\n".join(lines)

@@ -1,10 +1,16 @@
 """Symmetric eigensolving and (conditional) definiteness tests, float and exact.
 
 The float route uses LAPACK's symmetric eigensolver through numpy.  The exact
-route scales a rational matrix to integers and runs one iterative
+route scales a rational matrix to integers, splits the index set into the
+irreducible blocks of the nonzero pattern, and runs one iterative
 fraction-free (Bareiss) symmetric elimination with diagonal pivoting over
-Python ints, which decides positive semidefiniteness without any tolerance
-and produces an explicit negativity certificate when the answer is no.
+Python ints on the lower triangle of each block.  That decides positive
+semidefiniteness without any tolerance and produces an explicit negativity
+certificate when the answer is no: a failing block's certificate padded
+with zeros.  Exact conditional negative definiteness reduces the distance
+matrix over differences e_i - e_r at a central vertex r, which keeps the
+entries small and, on trees, splits the reduction into one block per
+branch.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ __all__ = [
     "is_cnd",
     "reduce_ones_complement",
     "ones_reflector",
-    "psd_certificate_exact",
     "format_matrix_text",
     "parse_matrix_text",
     "parse_matrix_text_exact",
@@ -144,59 +149,75 @@ def _quad_form(rows: list[list[int]], v: list[int]) -> int:
     return sum(vi * sum(rows[i][j] * vj for j, vj in support) for i, vi in support)
 
 
-def _zero_pivot_certificate(block: list[list[int]]) -> list[int] | None:
+def _zero_pivot_certificate(low: list[list[int]]) -> list[int] | None:
     # every diagonal entry is <= 0 here: a negative one is a certificate by
-    # itself, and on a zero diagonal any non-zero a_ij gives e_i -/+ e_j;
-    # an all-zero block is PSD
-    m = len(block)
+    # itself, and on a zero diagonal any non-zero a_ij = low[j][i] gives
+    # e_i -/+ e_j; an all-zero block is PSD
+    m = len(low)
     for i in range(m):
-        if block[i][i] < 0:
+        if low[i][i] < 0:
             return [int(k == i) for k in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            if block[i][j]:
+            if low[j][i]:
                 v = [0] * m
-                v[i], v[j] = 1, (-1 if block[i][j] > 0 else 1)
+                v[i], v[j] = 1, (-1 if low[j][i] > 0 else 1)
                 return v
     return None
 
 
-def _integer_psd_certificate(rows: list[list[int]]) -> list[int] | None:
-    """None iff the integer symmetric matrix is PSD; otherwise an integer
-    vector v with gcd 1 and <v, Av> < 0.
+def _irreducible_blocks(rows: list[list[int]]) -> list[list[int]]:
+    """The connected components of the nonzero pattern, each in increasing
+    index order; the search stops once one component covers every index."""
+    m = len(rows)
+    seen = [False] * m
+    found = 0
+    blocks = []
+    for start in range(m):
+        if seen[start]:
+            continue
+        seen[start] = True
+        found += 1
+        block = [start]
+        for u in block:  # grows while it is read: a breadth-first search
+            if found == m:
+                break
+            for j, x in enumerate(rows[u]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    found += 1
+                    block.append(j)
+        block.sort()
+        blocks.append(block)
+    return blocks
 
-    Fraction-free (Bareiss) symmetric elimination with diagonal pivoting:
-    each step pivots on the largest live diagonal entry p and updates the
-    live block by (p a_ij - a_ik a_kj) / prev, where prev is the previous
-    pivot.  The division is exact by Sylvester's identity, and the live block
-    stays prev times the Schur complement, so it keeps the definiteness of
-    the remainder.  When no positive pivot is left, the zero-pivot rules give
-    a certificate on the live block, lifted back through the stored pivot
-    rows: x_k = -(row_k . v) / p, scaled by p to stay integral.
-    """
-    block = [row[:] for row in rows]
-    pivots = []  # (position, pivot, pivot row over the block left after it)
+
+def _bareiss_certificate(low: list[list[int]]) -> list[int] | None:
+    """Fraction-free elimination of one symmetric block, given as its lower
+    triangle low[i] = [a_i0, ..., a_ii], which it consumes."""
+    pivots = []  # (position, pivot, pivot column over the block left after it)
     prev = 1
-    while block:
-        k = max(range(len(block)), key=lambda i: block[i][i])
-        p = block[k][k]
+    while low:
+        k = max(range(len(low)), key=lambda i: low[i][-1])
+        p = low[k][-1]
         if p <= 0:
             break
-        pivot_row = block.pop(k)
-        del pivot_row[k]
-        for i, row in enumerate(block):
-            c = row.pop(k)
+        col = low.pop(k)
+        del col[k:]
+        for row in low[k:]:
+            col.append(row.pop(k))
+        for i, c in enumerate(col):
             if c:
-                block[i] = [(p * x - c * y) // prev for x, y in zip(row, pivot_row)]
+                low[i] = [(p * x - c * y) // prev for x, y in zip(low[i], col)]
             elif p != prev:
-                block[i] = [p * x // prev for x in row]
-        pivots.append((k, p, pivot_row))
+                low[i] = [p * x // prev for x in low[i]]
+        pivots.append((k, p, col))
         prev = p
-    v = _zero_pivot_certificate(block)
+    v = _zero_pivot_certificate(low)
     if v is None:
         return None
-    for k, p, pivot_row in reversed(pivots):
-        xk = -sum(a * b for a, b in zip(pivot_row, v))
+    for k, p, col in reversed(pivots):
+        xk = -sum(a * b for a, b in zip(col, v))
         v = [p * x for x in v]
         v.insert(k, xk)
         g = reduce(math.gcd, v)
@@ -204,16 +225,35 @@ def _integer_psd_certificate(rows: list[list[int]]) -> list[int] | None:
     return v
 
 
-def psd_certificate_exact(rows: list[list[Fraction]]) -> list[Fraction] | None:
-    """None iff the rational symmetric matrix is PSD; otherwise an exact
-    vector v with <v, Mv> < 0.
+def _integer_psd_certificate(rows: list[list[int]]) -> list[int] | None:
+    """None iff the integer symmetric matrix is PSD; otherwise an integer
+    vector v with gcd 1 and <v, Av> < 0.
 
-    The rows are scaled to integers by the lcm of their denominators and
-    decided by an iterative fraction-free (Bareiss) elimination with
-    diagonal pivoting; the certificate is an integer vector with gcd 1.
+    The index set first splits into the connected components of the nonzero
+    pattern.  A symmetric matrix that permutes to block-diagonal form is PSD
+    iff every block is, and <v, Av> = <v_B, A_BB v_B> for a v supported on
+    one block B, so a failing block's certificate, padded with zeros at the
+    other indices, is a certificate for the whole matrix.
+
+    Each block is decided by fraction-free (Bareiss) symmetric elimination
+    with diagonal pivoting on its lower triangle only: each step pivots on
+    the first largest live diagonal entry p and updates the live block by
+    (p a_ij - a_ik a_kj) / prev, where prev is the previous pivot.  The
+    division is exact by Sylvester's identity, and the live block stays prev
+    times the Schur complement, so it keeps the definiteness of the
+    remainder.  When no positive pivot is left, the zero-pivot rules give a
+    certificate on the live block, lifted back through the stored pivot
+    columns: x_k = -(col_k . v) / p, scaled by p to stay integral.
     """
-    cert = _integer_psd_certificate(_as_integer_sym(rows)[0])
-    return None if cert is None else [Fraction(x) for x in cert]
+    for block in _irreducible_blocks(rows):
+        low = [[rows[i][j] for j in block[: t + 1]] for t, i in enumerate(block)]
+        cert = _bareiss_certificate(low)
+        if cert is not None:
+            v = [0] * len(rows)
+            for i, x in zip(block, cert):
+                v[i] = x
+            return v
+    return None
 
 
 def _is_psd_exact(m) -> PsdVerdict:
@@ -344,17 +384,28 @@ class CndVerdict:
 
 
 def _is_cnd_exact(d) -> CndVerdict:
+    """Exact Schoenberg decision: PSD of -U^T D U over the integer basis
+    u_i = e_i - e_r (i != r) of the complement of the all-ones vector, that
+    is R_ij = d(i, r) + d(j, r) - d(i, j), lifted as f = U v, which puts
+    -sum(v) at r.  The reference r is the first vertex of minimum
+    eccentricity: a central r keeps the entries of R small, and R_ij = 0
+    whenever r lies on a geodesic from i to j, so on a tree R splits into
+    one irreducible block per branch at r.
+    """
     rows, scale = _as_integer_sym(d)
     if len(rows) < 2:
         return CndVerdict(is_cnd=True, mode_used="exact")
-    # -U^T D U over the basis u_i = e_i - e_r with r the last vertex:
-    # R_ij = d(i, r) + d(j, r) - d(i, j), and f = U v = (v, -sum v)
-    last = rows[-1][:-1]
-    reduced = [[li + lj - dij for lj, dij in zip(last, row)] for li, row in zip(last, rows)]
+    ecc = [max(row) for row in rows]
+    r = ecc.index(min(ecc))
+    dr = rows[r][:r] + rows[r][r + 1 :]
+    reduced = [
+        [ri + rj - dij for rj, dij in zip(dr, row[:r] + row[r + 1 :])]
+        for ri, row in zip(dr, rows[:r] + rows[r + 1 :])
+    ]
     v = _integer_psd_certificate(reduced)
     if v is None:
         return CndVerdict(is_cnd=True, mode_used="exact")
-    f = v + [-sum(v)]
+    f = v[:r] + [-sum(v)] + v[r:]
     value = _quad_form(rows, f)
     if value <= 0:
         raise SpectraError("internal error: exact certificate failed re-validation")
@@ -371,9 +422,9 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     <f, Df> <= 0 for every f orthogonal to the all-ones vector.
 
     Decided as positive semidefiniteness of -D compressed to that
-    complement (in exact mode over the integer basis e_i - e_last); modes
-    behave as in is_psd.  The float and auto modes also report the largest
-    eigenvalue on the complement and a unit maximizer.
+    complement (in exact mode over the integer basis e_i - e_r, r a central
+    vertex); modes behave as in is_psd.  The float and auto modes also
+    report the largest eigenvalue on the complement and a unit maximizer.
     """
     validate_mode(mode)
     a = _check_distance_matrix(d)

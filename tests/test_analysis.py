@@ -14,6 +14,7 @@ from qegraph import (
     classify_winkler,
     default_orientation_and_tree,
     distance_matrix,
+    is_connected,
     is_isometrically_embedded,
     make_cycle,
     make_path,
@@ -192,6 +193,31 @@ class TestVertexGluing:
         two_k = [[d[a][bb] - d[a][aa] - d[b][bb] + d[b][aa] for aa, bb in tree] for a, b in tree]
         x = [Fraction(v) for v in w.evidence["certificate"]]
         assert quadratic_form(two_k, x) < 0
+
+    def test_exact_certificates_use_the_irreducible_blocks(self):
+        # a bridge e is a 1 x 1 block of 2K (K(e, e') = 0 for every other
+        # tree edge e'), so the exact Winkler certificate, taken from a
+        # failing block, is zero on it; the exact Schoenberg reduction is
+        # taken at a central vertex, which here is not the last one
+        g = glue(make_theta(ThetaSpec(2, 3, 9)), make_path(88))
+        d = floyd_warshall(g)
+        center = int(np.argmin(d.max(axis=1)))
+        assert center != g.n - 1
+        s = classify_schoenberg(g, mode="exact")
+        f = [Fraction(x) for x in s.evidence["certificate"]]
+        assert not s.is_qe and sum(f) == 0 and quadratic_form(d.tolist(), f) > 0
+
+        def is_bridge(edge):
+            rest = [e for e in g.edges if e != edge]
+            return not is_connected(Graph(g.n, tuple(rest)))
+
+        tree = default_orientation_and_tree(g).tree_edges
+        bridges = [i for i, e in enumerate(tree) if is_bridge(tuple(sorted(e)))]
+        assert len(bridges) == 87  # the path's edges
+        w = classify_winkler(g, mode="exact")
+        assert not w.is_qe
+        x = [Fraction(v) for v in w.evidence["certificate"]]
+        assert all(x[i] == 0 for i in bridges)
 
 
 class TestWitness:

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import subprocess
 
@@ -268,6 +269,13 @@ class TestVerifyCommand:
         assert code == 0
         assert "12/12 fixtures pass" in out
         assert out.count("PASS") == 12
+
+    def test_text_lines_carry_elapsed_time(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        results = out.strip().splitlines()[:-1]
+        assert code == 0 and len(results) == 12
+        for line in results:
+            assert re.match(r"(PASS|FAIL) \S+ \(\d+\.\d ms\): ", line), line
 
     def test_loose_psd_tolerance_still_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--tol-psd", "1e-2")

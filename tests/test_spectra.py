@@ -22,7 +22,6 @@ from qegraph.spectra import (
     ones_reflector,
     parse_matrix_text,
     parse_matrix_text_exact,
-    psd_certificate_exact,
     reduce_ones_complement,
 )
 
@@ -181,7 +180,7 @@ class TestIsPsd:
 
     def test_psd_certificate_exact_round_trip(self):
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]]
-        cert = psd_certificate_exact(rows)
+        cert = is_psd(rows, mode="exact").certificate
         assert cert is not None
         value = sum(
             ci * cj * rows[i][j]
@@ -189,7 +188,18 @@ class TestIsPsd:
             for j, cj in enumerate(cert)
         )
         assert value < 0
-        assert psd_certificate_exact([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]) is None
+        rows = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
+        assert is_psd(rows, mode="exact").certificate is None
+
+    def test_exact_sees_a_determinant_float64_rounds_away(self):
+        # det = (2^60 + 1)(2^60 - 1) - 2^120 = -1, but 2^60 +/- 1 round to
+        # 2^60 in float64, where the matrix looks singular and PSD
+        m = [[2**60 + 1, 2**60], [2**60, 2**60 - 1]]
+        verdict = is_psd(m, mode="exact")
+        assert not verdict.is_psd and verdict.mode_used == "exact"
+        v = verdict.certificate
+        value = sum(v[i] * m[i][j] * v[j] for i in range(2) for j in range(2))
+        assert value == verdict.certificate_value < 0
 
     def test_nan_entry_is_spectra_error(self):
         for m in (np.array([[np.nan]]), [[float("nan")]]):
@@ -233,34 +243,53 @@ def all_principal_minors_nonnegative(m: list[list[Fraction]]) -> bool:
     )
 
 
+def draw_exact_case(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    """An n x n integer symmetric matrix of the given kind."""
+    if kind == "reducible":
+        # a direct sum of 2-3 blocks of the other kinds under a random
+        # permutation, so the blocks interleave in index order
+        parts = int(rng.integers(2, min(n, 3) + 1))
+        cuts = sorted(rng.choice(np.arange(1, n), size=parts - 1, replace=False).tolist())
+        a = np.zeros((n, n), dtype=np.int64)
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            part = str(rng.choice(("symmetric", "planted", "zero-diagonal")))
+            a[lo:hi, lo:hi] = draw_exact_case(rng, hi - lo, part)
+        perm = rng.permutation(n)
+        return a[np.ix_(perm, perm)]
+    if kind == "planted":
+        b = rng.integers(-2, 3, size=(int(rng.integers(0, n + 1)), n))
+        return b.T @ b
+    a = rng.integers(-3, 4, size=(n, n))
+    a = a + a.T
+    if kind == "zero-diagonal":
+        a[np.diag_indices(n)] = rng.integers(0, 2, size=n) * rng.integers(0, 3, size=n)
+    return a
+
+
 class TestExactCore:
     @given(
         st.integers(min_value=1, max_value=6),
-        st.sampled_from(("symmetric", "planted", "zero-diagonal")),
+        st.sampled_from(("symmetric", "planted", "zero-diagonal", "reducible")),
         st.sampled_from((1, 2, 3, 7, 21)),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_principal_minor_oracle(self, n, kind, denominator, seed):
         # planted B^T B is PSD (singular when B has fewer rows than columns);
-        # a zeroed diagonal exercises the zero-pivot certificate rules, and
-        # dividing by a non-dyadic denominator the lcm scaling
+        # a zeroed diagonal exercises the zero-pivot certificate rules, a
+        # permuted direct sum the split into irreducible blocks, and dividing
+        # by a non-dyadic denominator the lcm scaling
         rng = np.random.default_rng(seed)
-        if kind == "planted":
-            b = rng.integers(-2, 3, size=(int(rng.integers(0, n + 1)), n))
-            a = b.T @ b
-        else:
-            a = rng.integers(-3, 4, size=(n, n))
-            a = a + a.T
-            if kind == "zero-diagonal":
-                a[np.diag_indices(n)] = rng.integers(0, 2, size=n) * rng.integers(0, 3, size=n)
+        if kind == "reducible":
+            n = max(n, 2)
+        a = draw_exact_case(rng, n, kind)
         rows = [[Fraction(int(x), denominator) for x in row] for row in a]
         expect_psd = all_principal_minors_nonnegative(rows)
         if kind == "planted":
             assert expect_psd
         verdict = is_psd(rows, mode="exact")
         assert verdict.is_psd == expect_psd
-        cert = psd_certificate_exact(rows)
+        cert = is_psd(rows, mode="exact").certificate
         assert (cert is None) == expect_psd
         if not expect_psd:
 
