@@ -22,7 +22,7 @@ import numpy as np
 from . import fixtures
 from .config import DEFAULT_TOLERANCES, Tolerances, validate_mode
 from .graphs import Graph, ThetaSpec, distance_matrix, make_cycle, make_theta
-from .spectra import is_cnd, is_psd
+from .spectra import CndVerdict, is_cnd, is_psd
 from .winkler import OrientedTree, build_theta1_block_kernel, winkler_kernel
 
 __all__ = [
@@ -109,20 +109,35 @@ def classify_theta_closed_form(spec: ThetaSpec) -> QeVerdict:
     return QeVerdict(method="closed-form", is_qe=is_qe, evidence=evidence)
 
 
+def _schoenberg(g: Graph, mode: str, tol: Tolerances) -> CndVerdict:
+    """``is_cnd`` on the distance matrix of g, decided once per graph, mode
+    and tolerance and kept on the graph."""
+    key = (mode, tol)
+    verdict = g._cnd.get(key)
+    if verdict is None:
+        verdict = is_cnd(distance_matrix(g), mode=mode, tol=tol)
+        g._cnd[key] = verdict
+    return verdict
+
+
 def classify_schoenberg(
     g: Graph,
     mode: str = "auto",
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> QeVerdict:
     """Decide embeddability from conditional negative definiteness of the
-    distance matrix."""
+    distance matrix.
+
+    The decision is made once per graph, mode and tolerance and kept on the
+    graph; ``qec`` reads the same auto-mode decision.
+    """
     if g.n == 1:
         return QeVerdict(
             method="schoenberg",
             is_qe=True,
             evidence={"note": "single vertex"},
         )
-    verdict = is_cnd(distance_matrix(g), mode=mode, tol=tol)
+    verdict = _schoenberg(g, mode, tol)
     evidence: dict = {"max_eig_on_ones_complement": _jsonable(verdict.max_eig)}
     if verdict.certificate is not None:
         evidence["certificate"] = [_jsonable(c) for c in verdict.certificate]
@@ -173,7 +188,7 @@ class QecValue:
     matrix restricted to the orthogonal complement of the all-ones vector,
     with a unit maximizer.
 
-    All three fields come from one ``is_cnd(d, mode="auto")`` call, so
+    All three fields come from one ``is_cnd(d, mode="auto")`` decision, so
     ``is_qe`` is the Schoenberg verdict on the same matrix: the sign of
     ``value``, re-decided in exact arithmetic when ``value`` is too close to
     zero to trust.
@@ -185,10 +200,17 @@ class QecValue:
 
 
 def qec(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> QecValue:
+    """Quadratic embedding constant of g, with a unit maximizer.
+
+    Shares the graph's auto-mode Schoenberg decision with
+    ``classify_schoenberg(g, mode="auto", tol=tol)``: whichever runs first
+    decides, the other reads the kept verdict.  The maximizer is re-checked
+    against the distance matrix on every call.
+    """
     if g.n == 1:
         raise ValueError("the embedding constant needs at least 2 vertices")
     d = distance_matrix(g)
-    verdict = is_cnd(d, mode="auto", tol=tol)
+    verdict = _schoenberg(g, "auto", tol)
     value = verdict.max_eig
     vec = np.array(verdict.maximizer)
     norm = float(np.linalg.norm(vec))

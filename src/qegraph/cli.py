@@ -2,7 +2,7 @@
 
 Exit codes: 0 = embeddable (or command succeeded), 1 = not embeddable (or a
 reference check failed), 2 = usage or input error, 3 = decision routes
-disagree under ``classify --method all``.
+disagree (``classify --method all`` and ``sweep``).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import analysis
 from .config import DEFAULT_TOLERANCES, MODES, Tolerances
@@ -264,9 +265,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
     report = analysis.classification_sweep(
         max_vertices=args.max_vertices, mode=args.mode, tol=args.tol
     )
+    elapsed = time.perf_counter() - start
     body = (
         analysis.sweep_to_json(report)
         if args.format == "json"
@@ -275,13 +278,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     qe = sum(1 for r in report.rows if r.closed_form)
     summary = (
         f"{qe} QE / {len(report.rows) - qe} NonQE over {len(report.rows)} "
-        f"theta graphs with at most {report.max_vertices} vertices"
+        f"theta graphs with at most {report.max_vertices} vertices in {elapsed:.2f} s"
     )
     if not report.all_consistent:
         summary += " (WARNING: decision routes disagree)"
     _emit(body, args.out)
     print(summary, file=sys.stdout if args.out else sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if report.all_consistent else EXIT_DISAGREE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,6 +48,11 @@ class Graph:
     Loops and parallel edges are rejected.  ``labels``, when given, holds one
     display string per vertex; labels are presentation only and do not take
     part in equality.
+
+    Derived data is computed at most once and lives as long as the graph: the
+    distance matrix (see ``distance_matrix``) and the Schoenberg verdicts of
+    ``analysis.classify_schoenberg`` and ``analysis.qec``, one per mode and
+    tolerance.  No memoized value refers back to the graph.
     """
 
     n: int
@@ -92,6 +97,7 @@ class Graph:
         # and the interpreter's tuple free lists fill up with such tuples
         object.__setattr__(self, "_adj", tuple([tuple(a) for a in adj]))
         object.__setattr__(self, "_dist", None)
+        object.__setattr__(self, "_cnd", {})  # (mode, tol) -> spectra.CndVerdict
 
     @property
     def n_edges(self) -> int:
@@ -270,15 +276,14 @@ def make_theta(spec, beta: int | None = None, gamma: int | None = None) -> Graph
     elif not isinstance(spec, ThetaSpec):
         spec = ThetaSpec(*spec)
     edges = []
+    labels = [""] * spec.n_vertices
     for kind in ("x", "y", "z"):
         seq = spec.path_vertices(kind)
         edges.extend(zip(seq, seq[1:]))
-    labels = [""] * spec.n_vertices
+        for j in range(1, len(seq) - 1):
+            labels[seq[j]] = f"{kind}{j}"
     labels[0] = "x0=y0=z0"
     labels[1] = f"x{spec.alpha}=y{spec.beta}=z{spec.gamma}"
-    for kind in ("x", "y", "z"):
-        for j in range(1, spec._leg_length(kind)):
-            labels[spec.vertex_index(f"{kind}{j}")] = f"{kind}{j}"
     return Graph(spec.n_vertices, tuple(edges), tuple(labels))
 
 

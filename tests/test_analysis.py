@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from qegraph import (
     Graph,
     ThetaSpec,
+    Tolerances,
     classification_sweep,
     classify_schoenberg,
     classify_theta_closed_form,
@@ -22,12 +25,15 @@ from qegraph import (
     qec,
     qec_cycle,
     qec_theta1_bounds,
+    reconstruct_embedding,
     run_reference_suite,
     sweep_to_csv,
     sweep_to_json,
     witness_quadratic_form,
     witness_report,
 )
+
+from qegraph import analysis
 
 from conftest import floyd_warshall, run_python
 
@@ -132,6 +138,55 @@ class TestQec:
         assert low == pytest.approx(-1.0 / (4.0 * math.cos(math.pi / 7.0) ** 2))
         with pytest.raises(ValueError):
             qec_theta1_bounds(4, 3)
+
+
+class TestSchoenbergMemo:
+    """classify_schoenberg and qec share one is_cnd decision per graph, mode
+    and tolerance, kept on the graph.  Each test builds its own graphs."""
+
+    def test_schoenberg_then_qec_decides_once(self, monkeypatch):
+        calls = []
+        real = analysis.is_cnd
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "is_cnd", counting)
+        g = make_theta(ThetaSpec(2, 3, 9))
+        classify_schoenberg(g)
+        qec(g)
+        assert len(calls) == 1
+
+    def test_modes_and_tolerances_do_not_cross(self):
+        g = make_theta(ThetaSpec(2, 3, 9))
+        loose = classify_schoenberg(g, mode="float", tol=Tolerances(psd_rel=1.0))
+        assert loose.is_qe  # the loose tolerance swallows the positive eigenvalue
+
+        def fresh():
+            return make_theta(ThetaSpec(2, 3, 9))
+
+        assert classify_schoenberg(g) == classify_schoenberg(fresh())
+        assert qec(g) == qec(fresh())
+        exact = classify_schoenberg(g, mode="exact")
+        assert exact == classify_schoenberg(fresh(), mode="exact")
+        assert not exact.is_qe and exact.mode_used == "exact"
+        assert exact.evidence["certificate"]
+        assert classify_schoenberg(g, mode="float") == classify_schoenberg(fresh(), mode="float")
+
+    def test_memo_keeps_no_cycle_through_the_graph(self):
+        gc.disable()  # a cycle would keep the graph until the cyclic collector runs
+        try:
+            g = make_theta(ThetaSpec(2, 3, 5))
+            classify_schoenberg(g)
+            classify_winkler(g)
+            qec(g)
+            reconstruct_embedding(g)
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestIsometricMonotonicity:

@@ -310,7 +310,15 @@ class TestSweepCommand:
         assert lines[0].startswith("alpha,beta,gamma")
         assert any(line.startswith("2,2,2,5,NonQE") for line in lines)
         assert any(line.startswith("1,2,2,4,QE") for line in lines)
-        assert "theta graphs" in err
+        assert re.search(r"theta graphs with at most 9 vertices in \d+\.\d\d s$", err.strip())
+
+    def test_disagreeing_routes_exit_3(self, capsys):
+        # a loose float tolerance lets the Schoenberg route call NonQE graphs QE
+        code, _, err = run_cli(
+            capsys, "sweep", "--max-vertices", "12", "--mode", "float", "--tol-psd", "1.0"
+        )
+        assert code == 3
+        assert "decision routes disagree" in err
 
     def test_write_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.csv"

@@ -107,6 +107,22 @@ class TestThetaSpec:
         assert spec.path_vertices("y") == (0, 3, 4, 1)
         assert spec.path_vertices("z") == (0, 5, 6, 7, 8, 1)
 
+    def test_make_theta_labels_name_path_positions(self):
+        specs = [
+            ThetaSpec(a, b, c)
+            for a, b, c in itertools.product(range(1, 12), repeat=3)
+            if a + b + c - 1 <= 12 and (a, b, c).count(1) <= 1
+        ]
+        specs.append(ThetaSpec(5, 1, 3))
+        for spec in specs:
+            labels = make_theta(spec).labels
+            for kind, length in zip("xyz", spec.legs):
+                for j in range(1, length):
+                    name = f"{kind}{j}"
+                    assert labels[spec.vertex_index(name)] == name, (spec, name)
+            assert labels[0] == "x0=y0=z0"
+            assert labels[1] == "x{}=y{}=z{}".format(*spec.legs)
+
     def test_make_theta_structure(self):
         for legs in itertools.combinations_with_replacement(range(1, 7), 3):
             a = legs[0]
