@@ -58,19 +58,15 @@ from .spectra import (
     is_psd,
 )
 from .winkler import (
-    EdgePairError,
-    EdgePairValue,
     Embedding,
     EmbeddingError,
     KernelMatrix,
     OrientedTree,
     TreeError,
     build_theta1_block_kernel,
-    classify_edge_pair,
     default_orientation_and_tree,
     reconstruct_embedding,
     winkler_kernel,
-    zeta_path_signs,
 )
 
 __version__ = "0.1.0"
@@ -104,17 +100,13 @@ __all__ = [
     "is_cnd",
     "TreeError",
     "EmbeddingError",
-    "EdgePairError",
     "OrientedTree",
     "default_orientation_and_tree",
     "KernelMatrix",
     "winkler_kernel",
-    "EdgePairValue",
-    "classify_edge_pair",
     "build_theta1_block_kernel",
     "Embedding",
     "reconstruct_embedding",
-    "zeta_path_signs",
     "CheckError",
     "QeVerdict",
     "QecValue",

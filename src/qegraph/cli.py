@@ -50,13 +50,16 @@ def _default_mode() -> str:
     return env
 
 
-def _add_common(parser: argparse.ArgumentParser, formats=("text", "json")) -> None:
+def _add_mode(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
         choices=MODES,
         default=None,
         help="arithmetic mode (default: QEGRAPH_MODE env var, else auto)",
     )
+
+
+def _add_tol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol-psd",
         type=float,
@@ -64,6 +67,9 @@ def _add_common(parser: argparse.ArgumentParser, formats=("text", "json")) -> No
         metavar="TOL",
         help="relative eigenvalue tolerance for float-mode verdicts",
     )
+
+
+def _add_output(parser: argparse.ArgumentParser, formats=("text", "json")) -> None:
     parser.add_argument(
         "--format",
         choices=formats,
@@ -301,32 +307,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph URI (theta:A,B,C, path:N, cycle:N) or edge-list file")
     p.add_argument("--method", choices=_METHODS, default="all")
     p.add_argument("--tree", metavar="FILE", default=None, help="oriented spanning-tree file")
-    _add_common(p)
+    _add_mode(p)
+    _add_tol(p)
+    _add_output(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("qec", help="compute the quadratic embedding constant")
     p.add_argument("graph")
-    _add_common(p)
+    _add_tol(p)
+    _add_output(p)
     p.set_defaults(func=cmd_qec)
 
     p = sub.add_parser("kernel", help="print the spanning-tree kernel matrix K")
     p.add_argument("graph")
     p.add_argument("--tree", metavar="FILE", default=None, help="oriented spanning-tree file")
-    _add_common(p)
+    _add_mode(p)
+    _add_output(p)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("distance", help="print the graph distance matrix")
     p.add_argument("graph")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="recompute all bundled reference values")
-    _add_common(p)
+    _add_tol(p)
+    _add_output(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="classify all theta graphs up to a vertex bound")
     p.add_argument("--max-vertices", type=int, default=18)
-    _add_common(p, formats=("csv", "json"))
+    _add_mode(p)
+    _add_tol(p)
+    _add_output(p, formats=("csv", "json"))
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -336,11 +349,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # resolved for every subcommand, so a bad QEGRAPH_MODE or --tol-psd
-        # exits 2 whatever the command
-        if args.mode is None:
+        # QEGRAPH_MODE is resolved for every subcommand, with or without
+        # --mode, so a bad value exits 2 whatever the command
+        if getattr(args, "mode", None) is None:
             args.mode = _default_mode()
-        args.tol = Tolerances(psd_rel=args.tol_psd)
+        if hasattr(args, "tol_psd"):
+            args.tol = Tolerances(psd_rel=args.tol_psd)
         return args.func(args)
     except (
         GraphError,

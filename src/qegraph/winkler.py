@@ -23,23 +23,19 @@ from pathlib import Path
 import numpy as np
 
 from . import spectra
-from .config import DEFAULT_TOLERANCES, Tolerances
-from .graphs import Graph, GraphError, distance_matrix
+from .config import DEFAULT_TOLERANCES
+from .graphs import Graph, GraphError, _bfs_row, distance_matrix
 
 __all__ = [
     "TreeError",
-    "EdgePairError",
     "EmbeddingError",
     "OrientedTree",
     "KernelMatrix",
-    "EdgePairValue",
     "Embedding",
     "default_orientation_and_tree",
     "winkler_kernel",
-    "classify_edge_pair",
     "build_theta1_block_kernel",
     "reconstruct_embedding",
-    "zeta_path_signs",
     "parse_tree_text",
     "format_tree_text",
     "read_tree_file",
@@ -57,43 +53,17 @@ class EmbeddingError(ValueError):
     """Embedding reconstruction failed (kernel not PSD or distances broken)."""
 
 
-class EdgePairError(ValueError):
-    """An edge pair fell outside the nine distance cases; carries all six
-    pairwise distances among the four endpoints."""
-
-    def __init__(self, e, e2, distances: dict):
-        self.edges = (tuple(e), tuple(e2))
-        self.distances = dict(distances)
-        parts = ", ".join(f"d({x},{y})={v}" for (x, y), v in self.distances.items())
-        super().__init__(f"edge pair {self.edges[0]}, {self.edges[1]} matches no case ({parts})")
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
 @dataclass(frozen=True, eq=False)
 class OrientedTree:
     """A spanning tree of a host graph, given by its directed edges.
 
     ``tree_edges`` lists the tree's directed edges (a, b) in a significant
     order: it fixes the kernel's row order, and each direction fixes the sign
-    of its incidence column e_a - e_b.  Construction checks that there are
-    n - 1 of them, that each is a host edge and that none closes a cycle.
+    of its incidence column e_a - e_b.  The public constructor checks trees
+    from outside the package (callers, ``--tree`` files, bundled fixtures):
+    there must be n - 1 of them, each a host edge, reaching every vertex,
+    which for n - 1 edges is the same as closing no cycle.  Trees the package
+    builds itself (``default_orientation_and_tree``) skip this check.
     """
 
     graph: Graph
@@ -105,13 +75,27 @@ class OrientedTree:
         tree = tuple([(int(a), int(b)) for a, b in self.tree_edges])
         if len(tree) != g.n - 1:
             raise TreeError(f"spanning tree needs {g.n - 1} edges, got {len(tree)}")
-        uf = _UnionFind(g.n)
+        adj = [[] for _ in range(g.n)]
         for a, b in tree:
             if not g.has_edge(a, b):
                 raise TreeError(f"tree edge ({a}, {b}) is not a host edge")
-            if not uf.union(a, b):
-                raise TreeError(f"tree edge ({a}, {b}) closes a cycle")
+            adj[a].append(b)
+            adj[b].append(a)
+        reach = _bfs_row(adj, g.n, 0)
+        if -1 in reach:
+            raise TreeError(
+                f"tree edges close a cycle: they do not reach vertex {reach.index(-1)} from 0"
+            )
         object.__setattr__(self, "tree_edges", tree)
+
+    @classmethod
+    def _trusted(cls, graph: Graph, tree_edges: tuple[tuple[int, int], ...]) -> OrientedTree:
+        """A spanning tree of graph the package has just built, stored
+        without the public check."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "graph", graph)
+        object.__setattr__(tree, "tree_edges", tree_edges)
+        return tree
 
     def omitted_edges(self) -> tuple[tuple[int, int], ...]:
         """Host edges outside the tree, as pairs (u, v) with u < v."""
@@ -121,14 +105,19 @@ class OrientedTree:
 
 def default_orientation_and_tree(g: Graph) -> OrientedTree:
     """Canonical tree: breadth-first tree rooted at vertex 0 with edges in
-    discovery order, each directed away from the root."""
+    discovery order, each directed away from the root.
+
+    The walk over the host adjacency builds a spanning tree by construction,
+    so the result skips ``OrientedTree``'s public check.  Raises GraphError
+    when g is disconnected."""
+    adj = g._adj
     seen = [False] * g.n
     seen[0] = True
     order = deque((0,))
     tree = []
     while order:
         u = order.popleft()
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if not seen[w]:
                 seen[w] = True
                 tree.append((u, w))
@@ -136,29 +125,20 @@ def default_orientation_and_tree(g: Graph) -> OrientedTree:
     if len(tree) != g.n - 1:
         missing = seen.index(False)
         raise GraphError(f"graph is not connected: vertices 0 and {missing} have no joining path")
-    return OrientedTree(g, tuple(tree))
+    return OrientedTree._trusted(g, tuple(tree))
 
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Kernel of an oriented spanning tree, stored exactly as the integer
-    matrix two_k = 2K (kernel entries are half-integers)."""
+    """Kernel of an oriented spanning tree, stored exactly as the read-only
+    int64 matrix two_k = 2K (kernel entries are half-integers, the diagonal
+    is 2).
+
+    Only ``winkler_kernel`` and ``build_theta1_block_kernel`` build kernels;
+    each hands over a new matrix already marked read-only, so construction
+    neither copies nor checks it."""
 
     two_k: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.two_k)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"kernel matrix must be square, got shape {m.shape}")
-        if not np.issubdtype(m.dtype, np.integer):
-            raise ValueError("two_k must be an integer matrix")
-        if not (m == m.T).all():
-            raise ValueError("kernel matrix must be symmetric")
-        if m.size and (np.diag(m) != 2).any():
-            raise ValueError("kernel diagonal must equal 1 (two_k diagonal 2)")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "two_k", m)
 
     @property
     def dim(self) -> int:
@@ -182,72 +162,22 @@ def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     canonical BFS tree), rows following the tree's edge order.
 
     With B the incidence matrix whose column for tree edge (a, b) is
-    e_a - e_b, 2K = -B^T D B: one row gather and one column gather per
-    endpoint list."""
+    e_a - e_b, 2K = -B^T D B: two row gathers of D give B^T D, whose
+    transpose is DB (D is symmetric), and two row gathers of DB give 2K as
+    a new C-ordered matrix."""
     if tree is None:
         tree = default_orientation_and_tree(g)
     elif tree.graph is not g and tree.graph != g:
         raise TreeError("tree belongs to a different host graph")
     d = distance_matrix(g)
-    if not tree.tree_edges:
-        return KernelMatrix(np.zeros((0, 0), dtype=np.int64))
-    heads, tails = np.array(tree.tree_edges, dtype=np.int64).T
-    x = d[heads] - d[tails]  # rows of B^T D
-    return KernelMatrix(x[:, tails] - x[:, heads])
-
-
-@dataclass(frozen=True)
-class EdgePairValue:
-    """Kernel value of one ordered pair of directed host edges together with
-    the distance-comparison case (1..9) that produced it."""
-
-    value: float
-    case: int
-    edges: tuple[tuple[int, int], tuple[int, int]]
-
-
-# case ids keyed by (sign(d(b,a')-d(a,a')), sign(d(a,b')-d(b,b')))
-_EDGE_PAIR_CASES = {
-    (1, -1): 1,
-    (-1, 1): 2,
-    (0, 0): 3,
-    (0, -1): 4,
-    (-1, 0): 5,
-    (1, 0): 6,
-    (0, 1): 7,
-    (-1, -1): 8,
-    (1, 1): 9,
-}
-
-
-def classify_edge_pair(g: Graph, e, e2) -> EdgePairValue:
-    """Kernel value of two directed host edges from distance comparisons.
-
-    The value {0, +-1/2, +-1} is determined by which of the nine orderings
-    of the endpoint distances holds; the case id records which one.
-    """
-    (a, b), (a2, b2) = (int(e[0]), int(e[1])), (int(e2[0]), int(e2[1]))
-    for u, v in ((a, b), (a2, b2)):
-        if not g.has_edge(u, v):
-            raise GraphError(f"({u}, {v}) is not an edge of the host graph")
-    d = distance_matrix(g)
-    s = int(d[b, a2]) - int(d[a, a2])
-    t = int(d[a, b2]) - int(d[b, b2])
-    case = _EDGE_PAIR_CASES.get((s, t))
-    if case is None:
-        raise EdgePairError(
-            (a, b),
-            (a2, b2),
-            {
-                (a, b): int(d[a, b]),
-                (a2, b2): int(d[a2, b2]),
-                (a, a2): int(d[a, a2]),
-                (a, b2): int(d[a, b2]),
-                (b, a2): int(d[b, a2]),
-                (b, b2): int(d[b, b2]),
-            },
-        )
-    return EdgePairValue(value=(s + t) / 2.0, case=case, edges=((a, b), (a2, b2)))
+    if tree.tree_edges:
+        heads, tails = np.array(tree.tree_edges, dtype=np.int64).T
+        db = (d[heads] - d[tails]).T
+        two_k = db[tails] - db[heads]
+    else:
+        two_k = np.zeros((0, 0), dtype=np.int64)
+    two_k.setflags(write=False)
+    return KernelMatrix(two_k)
 
 
 def build_theta1_block_kernel(k: int, l: int, parity: str) -> KernelMatrix:
@@ -291,6 +221,7 @@ def build_theta1_block_kernel(k: int, l: int, parity: str) -> KernelMatrix:
             m[bk + i, bk + l + i] = -2  # c_i with c_{i+l+1}
     # couplings were written above the diagonal only
     m = m + m.T - np.diag(np.diag(m))
+    m.setflags(write=False)
     return KernelMatrix(m)
 
 
@@ -307,22 +238,18 @@ class Embedding:
         return float(diff @ diff)
 
 
-def reconstruct_embedding(
-    g: Graph,
-    tree: OrientedTree | None = None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> Embedding:
+def reconstruct_embedding(g: Graph) -> Embedding:
     """Explicit quadratic embedding of g built from a PSD tree kernel.
 
-    The kernel over the tree (default: the canonical BFS tree) is factored
-    through its eigendecomposition (eigenvalues within tolerance of zero are
-    clamped; genuinely negative ones raise EmbeddingError), giving one vector
-    per tree edge.  Vertex 0 sits at the origin, and the other vertex vectors
-    follow by propagation along tree edges.  The result is validated
-    against the whole metric to within 1e-8 (_EMBED_TOL).
+    The kernel over the canonical BFS tree is factored through its
+    eigendecomposition (eigenvalues within ``DEFAULT_TOLERANCES.psd_rel``
+    of zero, relative to the largest, are clamped; genuinely negative ones
+    raise EmbeddingError), giving one vector per tree edge.  Vertex 0 sits at
+    the origin, and the other vertex vectors follow by propagation along tree
+    edges.  The result is validated against the whole metric to within 1e-8
+    (_EMBED_TOL).
     """
-    if tree is None:
-        tree = default_orientation_and_tree(g)
+    tree = default_orientation_and_tree(g)
     kern = winkler_kernel(g, tree)
     d = distance_matrix(g)
     if kern.dim == 0:
@@ -331,7 +258,7 @@ def reconstruct_embedding(
         return Embedding(vectors=vectors, max_error=0.0)
     res = spectra.eigen_sym(kern.as_float())
     lam = res.eigenvalues.copy()
-    bound = tol.psd_rel * max(1.0, float(lam[0]))
+    bound = DEFAULT_TOLERANCES.psd_rel * max(1.0, float(lam[0]))
     if lam[-1] < -bound:
         raise EmbeddingError(f"kernel is not positive semidefinite (lambda_min = {lam[-1]:.3e})")
     keep = lam > bound  # clamp the near-zero band to exact zero
@@ -358,37 +285,6 @@ def reconstruct_embedding(
         raise EmbeddingError(f"reconstructed distances deviate by {max_error:.3e}")
     vectors.setflags(write=False)
     return Embedding(vectors=vectors, max_error=max_error)
-
-
-def zeta_path_signs(tree: OrientedTree, x: int, y: int) -> list[tuple[tuple[int, int], int]]:
-    """Tree edges on the unique path from x to y, in traversal order, each
-    with +1 when walked along its direction and -1 against it."""
-    n = tree.graph.n
-    for v in (x, y):
-        if not 0 <= v < n:
-            raise GraphError(f"vertex {v} out of range for {n} vertices")
-    if x == y:
-        return []
-    adjacency = [[] for _ in range(n)]
-    for a, b in tree.tree_edges:
-        adjacency[a].append((b, (a, b), 1))
-        adjacency[b].append((a, (a, b), -1))
-    prev: dict[int, tuple[int, tuple[int, int], int]] = {x: None}
-    queue = deque((x,))
-    while queue and y not in prev:
-        u = queue.popleft()
-        for w, edge, sign in adjacency[u]:
-            if w not in prev:
-                prev[w] = (u, edge, sign)
-                queue.append(w)
-    steps = []
-    v = y
-    while prev[v] is not None:
-        u, edge, sign = prev[v]
-        steps.append((edge, sign))
-        v = u
-    steps.reverse()
-    return steps
 
 
 def parse_tree_text(text: str, g: Graph) -> OrientedTree:

@@ -151,13 +151,22 @@ class TestClassify:
         assert json.loads(out)["mode"] == "float"
 
     def test_invalid_mode_env_exit_2(self, capsys, monkeypatch):
+        # every subcommand, including those without --mode
         monkeypatch.setenv("QEGRAPH_MODE", "bogus")
-        code, out, err = run_cli(capsys, "classify", "theta:2,3,3")
-        assert code == 2
-        assert out == ""
-        assert err.splitlines() == [
-            "error: QEGRAPH_MODE must be one of float, exact, auto, got 'bogus'"
-        ]
+        for argv in (
+            ["classify", "theta:2,3,3"],
+            ["qec", "path:3"],
+            ["kernel", "path:3"],
+            ["distance", "path:3"],
+            ["verify"],
+            ["sweep", "--max-vertices", "5"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.splitlines() == [
+                "error: QEGRAPH_MODE must be one of float, exact, auto, got 'bogus'"
+            ]
 
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     def test_invalid_psd_tolerance_exit_2(self, capsys, tol):
@@ -340,6 +349,23 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--max-vertices", "4")
         assert code == 2
         assert "at least 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qec", "cycle:5", "--mode", "exact"],
+        ["distance", "path:3", "--mode", "exact"],
+        ["distance", "path:3", "--tol-psd", "1e-3"],
+        ["verify", "--mode", "exact"],
+        ["kernel", "path:3", "--tol-psd", "1e-3"],
+    ],
+)
+def test_flags_a_subcommand_does_not_use_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("uri, code", [("path:4", 0), ("theta:2,3,9", 1)])

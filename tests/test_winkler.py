@@ -1,8 +1,10 @@
+from collections import deque
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from qegraph import (
-    EdgePairError,
     EmbeddingError,
     Graph,
     GraphError,
@@ -10,7 +12,6 @@ from qegraph import (
     ThetaSpec,
     TreeError,
     build_theta1_block_kernel,
-    classify_edge_pair,
     default_orientation_and_tree,
     distance_matrix,
     graph_from_uri,
@@ -20,7 +21,6 @@ from qegraph import (
     make_theta,
     reconstruct_embedding,
     winkler_kernel,
-    zeta_path_signs,
 )
 from qegraph.winkler import format_tree_text, parse_tree_text
 
@@ -30,6 +30,107 @@ from conftest import (
     random_connected_graph,
     random_oriented_tree,
 )
+
+
+# Oracles for two lemmas of the paper that only the tests use: the nine-case
+# edge-pair lemma (a kernel entry read off distance comparisons) and the
+# signs along tree paths in the RKHS proof.
+
+
+class EdgePairError(ValueError):
+    """An edge pair fell outside the nine distance cases; carries all six
+    pairwise distances among the four endpoints."""
+
+    def __init__(self, e, e2, distances: dict):
+        self.edges = (tuple(e), tuple(e2))
+        self.distances = dict(distances)
+        parts = ", ".join(f"d({x},{y})={v}" for (x, y), v in self.distances.items())
+        super().__init__(f"edge pair {self.edges[0]}, {self.edges[1]} matches no case ({parts})")
+
+
+@dataclass(frozen=True)
+class EdgePairValue:
+    """Kernel value of one ordered pair of directed host edges together with
+    the distance-comparison case (1..9) that produced it."""
+
+    value: float
+    case: int
+    edges: tuple[tuple[int, int], tuple[int, int]]
+
+
+# case ids keyed by (sign(d(b,a')-d(a,a')), sign(d(a,b')-d(b,b')))
+_EDGE_PAIR_CASES = {
+    (1, -1): 1,
+    (-1, 1): 2,
+    (0, 0): 3,
+    (0, -1): 4,
+    (-1, 0): 5,
+    (1, 0): 6,
+    (0, 1): 7,
+    (-1, -1): 8,
+    (1, 1): 9,
+}
+
+
+def classify_edge_pair(g: Graph, e, e2) -> EdgePairValue:
+    """Kernel value of two directed host edges from distance comparisons.
+
+    The value {0, +-1/2, +-1} is determined by which of the nine orderings
+    of the endpoint distances holds; the case id records which one.
+    """
+    (a, b), (a2, b2) = (int(e[0]), int(e[1])), (int(e2[0]), int(e2[1]))
+    for u, v in ((a, b), (a2, b2)):
+        if not g.has_edge(u, v):
+            raise GraphError(f"({u}, {v}) is not an edge of the host graph")
+    d = distance_matrix(g)
+    s = int(d[b, a2]) - int(d[a, a2])
+    t = int(d[a, b2]) - int(d[b, b2])
+    case = _EDGE_PAIR_CASES.get((s, t))
+    if case is None:
+        raise EdgePairError(
+            (a, b),
+            (a2, b2),
+            {
+                (a, b): int(d[a, b]),
+                (a2, b2): int(d[a2, b2]),
+                (a, a2): int(d[a, a2]),
+                (a, b2): int(d[a, b2]),
+                (b, a2): int(d[b, a2]),
+                (b, b2): int(d[b, b2]),
+            },
+        )
+    return EdgePairValue(value=(s + t) / 2.0, case=case, edges=((a, b), (a2, b2)))
+
+
+def zeta_path_signs(tree: OrientedTree, x: int, y: int) -> list[tuple[tuple[int, int], int]]:
+    """Tree edges on the unique path from x to y, in traversal order, each
+    with +1 when walked along its direction and -1 against it."""
+    n = tree.graph.n
+    for v in (x, y):
+        if not 0 <= v < n:
+            raise GraphError(f"vertex {v} out of range for {n} vertices")
+    if x == y:
+        return []
+    adjacency = [[] for _ in range(n)]
+    for a, b in tree.tree_edges:
+        adjacency[a].append((b, (a, b), 1))
+        adjacency[b].append((a, (a, b), -1))
+    prev: dict[int, tuple[int, tuple[int, int], int]] = {x: None}
+    queue = deque((x,))
+    while queue and y not in prev:
+        u = queue.popleft()
+        for w, edge, sign in adjacency[u]:
+            if w not in prev:
+                prev[w] = (u, edge, sign)
+                queue.append(w)
+    steps = []
+    v = y
+    while prev[v] is not None:
+        u, edge, sign = prev[v]
+        steps.append((edge, sign))
+        v = u
+    steps.reverse()
+    return steps
 
 
 class TestOrientedTree:
@@ -53,9 +154,39 @@ class TestOrientedTree:
             OrientedTree(g, ((0, 1), (1, 2), (3, -1)))  # negative vertex
         with pytest.raises(TreeError):
             OrientedTree(g, ((0, 1), (1, 2), (0, 1)))  # repeat
+        with pytest.raises(TreeError):
+            OrientedTree(g, ((0, 1), (1, 0), (1, 2)))  # one edge in both directions
         cyc = ((0, 1), (1, 2), (2, 3), (3, 0))
         with pytest.raises(TreeError):
             OrientedTree(g, cyc[:3] + ((3, 0),))
+
+    def test_public_check_accepts_default_trees(self, corpus, rng):
+        # the canonical tree skips the public check; it must pass it anyway
+        graphs = [g for _, g, _ in corpus]
+        graphs += [
+            make_theta(ThetaSpec(a, b, c))
+            for a in range(1, 12)
+            for b in range(max(a, 2), 12)
+            for c in range(b, 14 - a - b)
+        ]
+        graphs += [
+            random_connected_graph(rng, n, p)
+            for n, p in ((2, 1.0), (8, 0.4), (30, 0.2), (100, 0.08), (200, 0.04))
+            for _ in range(3)
+        ]
+        for g in graphs:
+            tree = default_orientation_and_tree(g)
+            assert OrientedTree(g, tree.tree_edges).tree_edges == tree.tree_edges, g.edges
+
+    def test_default_tree_skips_public_check(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("public tree check ran on a package-built tree")
+
+        monkeypatch.setattr(OrientedTree, "__post_init__", refuse)
+        g = make_theta(ThetaSpec(2, 3, 4))
+        assert len(default_orientation_and_tree(g).tree_edges) == g.n - 1
+        assert winkler_kernel(g).dim == g.n - 1
+        assert reconstruct_embedding(make_cycle(6)).max_error <= 1e-8
 
     def test_omitted_edges(self):
         g = make_theta(ThetaSpec(2, 3, 3))
@@ -74,6 +205,21 @@ class TestKernel:
             assert kern.two_k.dtype == np.int64
             assert (np.diag(kern.two_k) == 2).all(), uri
             assert (kern.two_k == kern.two_k.T).all(), uri
+
+    def test_two_k_is_read_only(self):
+        kernels = [
+            winkler_kernel(make_theta(ThetaSpec(2, 3, 3))),
+            winkler_kernel(Graph(1, ())),
+            build_theta1_block_kernel(2, 3, "even"),
+            build_theta1_block_kernel(2, 3, "odd"),
+        ]
+        assert kernels[1].dim == 0
+        for kern in kernels:
+            assert kern.two_k.dtype == np.int64
+            assert kern.two_k.flags.c_contiguous  # fixes float summation order
+            assert not kern.two_k.flags.writeable
+            with pytest.raises(ValueError):
+                kern.two_k[..., :1] = 0
 
     def test_tree_kernel_is_identity_exhaustive_small(self):
         for n in range(2, 7):
