@@ -71,7 +71,9 @@ def _as_float_sym(m) -> np.ndarray:
         raise SpectraError("matrix entries must be finite")
     if not (a == a.T).all():
         raise SpectraError("matrix must be exactly symmetric")
-    return a
+    # one memory order for every caller: a float certificate value such as
+    # v @ a @ v sums in the same order whatever order m came in
+    return np.ascontiguousarray(a)
 
 
 def _as_integer_sym(m) -> tuple[list[list[int]], int]:
@@ -81,6 +83,12 @@ def _as_integer_sym(m) -> tuple[list[list[int]], int]:
     # by spreading a row into arguments or from a generator (certificates are
     # built from lists): the interpreter keeps freed tuples of up to 19 items
     # on free lists, and such tuples pile up there, call after call.
+    if isinstance(m, np.ndarray) and np.issubdtype(m.dtype, np.integer):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise SpectraError("matrix must be square")
+        if not (m == m.T).all():
+            raise SpectraError("matrix must be exactly symmetric")
+        return m.tolist(), 1
     rows = _square_rows(m)
     try:
         exact = {x: Fraction(x) for x in {x for row in rows for x in row}}

@@ -114,6 +114,21 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
             return g
 
 
+def random_sparse_graph(rng: random.Random, n: int) -> Graph:
+    """A random labeled tree plus n // 4 random extra edges: connected, with
+    long geodesics."""
+    edges = set()
+    for v in range(1, n):
+        u = rng.randrange(v)
+        edges.add((u, v))
+    while len(edges) < min(n - 1 + n // 4, n * (n - 1) // 2):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, tuple((perm[u], perm[v]) for u, v in sorted(edges)))
+
+
 def random_spanning_tree(rng: random.Random, g: Graph) -> tuple[tuple[int, int], ...]:
     """Uniformly shuffled edge order fed to union-find; returns tree edges."""
     parent = list(range(g.n))

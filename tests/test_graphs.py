@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qegraph import (
@@ -22,8 +23,11 @@ from qegraph import (
     theta_spec_from_uri,
     write_edgelist,
 )
+from qegraph.graphs import _SEIDEL_MIN_N
 
-from conftest import floyd_warshall, random_connected_graph, two_coloring
+from conftest import floyd_warshall, random_connected_graph, random_sparse_graph, two_coloring
+
+CUT = _SEIDEL_MIN_N  # smallest vertex count whose distances come from Seidel's algorithm
 
 
 class TestGraph:
@@ -67,10 +71,56 @@ class TestGraph:
             if g.n <= 10:
                 assert np.array_equal(distance_matrix(g), floyd_warshall(g)), uri
 
-    @given(st.integers(min_value=2, max_value=9), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_distances_match_floyd_warshall_random(self, n, pyrandom):
-        g = random_connected_graph(pyrandom, n)
+    def test_distance_matrix_disconnected_names_first_unreachable_vertex(self):
+        # the same text on both sides of the cut: vertex 0 and the smallest
+        # vertex it cannot reach
+        cases = (
+            (Graph(4, ((0, 1), (2, 3))), 2),
+            (Graph(CUT - 1, ()), 1),
+            (Graph(CUT, ()), 1),
+            (Graph(30, ()), 1),
+            (Graph(40, tuple((i, i + 1) for i in range(39) if i != 19)), 20),
+            (Graph(40, tuple((i, i + 2) for i in range(38))), 1),  # even and odd vertices
+            (Graph(CUT + 5, tuple((i, i + 1) for i in range(CUT + 3))), CUT + 4),  # one isolated
+        )
+        for g, t in cases:
+            with pytest.raises(GraphError) as err:
+                distance_matrix(g)
+            assert str(err.value) == f"graph is not connected: vertices 0 and {t} have no joining path"
+
+    @pytest.mark.parametrize("n", [CUT, 40])
+    def test_seidel_distance_matrix_contract(self, n):
+        g = make_cycle(n)
+        d = distance_matrix(g)
+        assert d.dtype == np.int64 and d.flags.c_contiguous and not d.flags.writeable
+        assert distance_matrix(g) is d
+        with pytest.raises(ValueError):
+            d[0, 1] = 7
+
+    @given(st.integers(min_value=2, max_value=80), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(CUT - 1, True, 1)
+    @example(CUT - 1, False, 2)
+    @example(CUT, True, 3)
+    @example(CUT, False, 4)
+    @settings(max_examples=80, deadline=None)
+    def test_distances_match_floyd_warshall_random(self, n, sparse, seed):
+        # sparse graphs (a random tree plus n // 4 edges) have long
+        # geodesics, so Seidel's algorithm runs several squarings on them
+        rng = random.Random(seed)
+        g = random_sparse_graph(rng, n) if sparse else random_connected_graph(rng, n)
+        assert np.array_equal(distance_matrix(g), floyd_warshall(g))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["path:60", "cycle:301", "theta:1,150,150", "complete:30", "dense:300"],
+    )
+    def test_distances_match_floyd_warshall_at_scale(self, name):
+        if name == "complete:30":  # already complete: no squaring step
+            g = Graph(30, tuple(itertools.combinations(range(30), 2)))
+        elif name == "dense:300":  # G(300, 0.4) on a fixed seed: 17 974 edges
+            g = random_connected_graph(random.Random(20260813), 300)
+        else:
+            g = graph_from_uri(name)
         assert np.array_equal(distance_matrix(g), floyd_warshall(g))
 
 

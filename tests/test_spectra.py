@@ -11,13 +11,16 @@ from qegraph import (
     distance_matrix,
     eigen_sym,
     fixtures,
+    graph_from_uri,
     is_cnd,
     is_psd,
+    make_cycle,
     make_theta,
     winkler_kernel,
 )
 from qegraph.spectra import (
     SpectraError,
+    _as_integer_sym,
     format_matrix_text,
     ones_reflector,
     parse_matrix_text,
@@ -219,6 +222,45 @@ class TestIsPsd:
                 is_psd([[1, 2], [2]], mode=mode)
             with pytest.raises(SpectraError, match="must be square"):
                 is_cnd([[0, 2], [2]], mode=mode)
+
+    def test_float_certificate_value_does_not_depend_on_memory_order(self):
+        # theta(2,3,9) is not QE: both routes return a float certificate,
+        # whose value v.Mv must not change with the input's memory order
+        g = make_theta(2, 3, 9)
+        k = winkler_kernel(g).two_k
+        d = distance_matrix(g)
+        for mode in ("float", "auto"):
+            c_order, f_order = is_psd(k, mode=mode), is_psd(np.asfortranarray(k), mode=mode)
+            assert c_order.certificate_value < 0
+            assert f_order.certificate_value == c_order.certificate_value
+            assert f_order.certificate == c_order.certificate
+            c_order, f_order = is_cnd(d, mode=mode), is_cnd(np.asfortranarray(d), mode=mode)
+            assert c_order.certificate_value > 0
+            assert f_order.certificate_value == c_order.certificate_value
+            assert f_order.certificate == c_order.certificate
+
+
+class TestExactIngestion:
+    def test_integer_array_matches_generic_path(self, corpus):
+        # an integer ndarray skips the Fraction conversion: same rows of
+        # Python ints and scale 1 as the list path gives
+        graphs = [g for _, g, _ in corpus] + [make_cycle(45), graph_from_uri("theta:2,3,40")]
+        for g in graphs:
+            for m in (distance_matrix(g), winkler_kernel(g).two_k):
+                rows, scale = _as_integer_sym(m)
+                assert (rows, scale) == _as_integer_sym(m.tolist())
+                assert scale == 1 and all(type(x) is int for row in rows for x in row)
+                assert _as_integer_sym(np.asfortranarray(m)) == (rows, scale)
+
+    def test_asymmetric_integer_array_is_rejected(self):
+        m = np.array([[0, 1, 2], [1, 0, 1], [3, 1, 0]], dtype=np.int64)
+        with pytest.raises(SpectraError, match="matrix must be exactly symmetric"):
+            _as_integer_sym(m)
+        with pytest.raises(SpectraError, match="matrix must be exactly symmetric"):
+            is_psd(m, mode="exact")
+        for bad in (np.zeros((2, 3), dtype=np.int64), np.zeros(3, dtype=np.int64)):
+            with pytest.raises(SpectraError, match="must be square"):
+                _as_integer_sym(bad)
 
 
 def leibniz_det(m: list[list[Fraction]]) -> Fraction:
