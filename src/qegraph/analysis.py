@@ -88,6 +88,10 @@ def _jsonable(x):
     return float(x)
 
 
+def _half(x):
+    return None if x is None else x / 2
+
+
 def classify_theta_closed_form(spec: ThetaSpec) -> QeVerdict:
     """Decide embeddability of a theta graph from its leg lengths alone."""
     a, b, c = spec.normalized().legs
@@ -157,7 +161,11 @@ def classify_winkler(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> QeVerdict:
     """Decide embeddability from positive semidefiniteness of the
-    spanning-tree kernel."""
+    spanning-tree kernel K.
+
+    The decision is made on the integer matrix 2K, so exact elimination
+    needs no rational scaling; lambda_min, lambda_max and the certificate
+    value in the evidence are halved back to K's."""
     if g.n == 1:
         return QeVerdict(
             method="winkler",
@@ -165,15 +173,21 @@ def classify_winkler(
             evidence={"note": "single vertex"},
         )
     kern = winkler_kernel(g, tree)
-    verdict = is_psd(kern.as_float(), mode=mode, tol=tol)
+    # K's verdict: diag(K) = 1 gives lambda_max(K) >= 1, so the float bound
+    # psd_rel * max(1, lambda_max) and the auto window scale by exactly 2, as
+    # the entries do.  LAPACK's eigenvalues of 2K are twice K's up to the
+    # rounding of its tridiagonal solver, so only a lambda_min within that
+    # rounding of the bound could decide otherwise, and auto re-decides
+    # such a kernel exactly.
+    verdict = is_psd(kern.two_k, mode=mode, tol=tol)
     evidence: dict = {
         "kernel_dim": kern.dim,
-        "lambda_min": _jsonable(verdict.lambda_min),
-        "lambda_max": _jsonable(verdict.lambda_max),
+        "lambda_min": _jsonable(_half(verdict.lambda_min)),
+        "lambda_max": _jsonable(_half(verdict.lambda_max)),
     }
     if verdict.certificate is not None:
         evidence["certificate"] = [_jsonable(c) for c in verdict.certificate]
-        evidence["certificate_value"] = _jsonable(verdict.certificate_value)
+        evidence["certificate_value"] = _jsonable(verdict.certificate_value / 2)
     return QeVerdict(
         method="winkler",
         is_qe=verdict.is_psd,
@@ -474,33 +488,21 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
 
     _KL_PAIRS = tuple((k, l) for k in range(2, 7) for l in range(k, 7))
 
-    def block_even_check():
-        for k, l in _KL_PAIRS:
-            _, tree = fixtures.theta1_tree(k, l, "even")
-            kern = winkler_kernel(tree.graph, tree)
-            block = build_theta1_block_kernel(k, l, "even").two_k
-            _require(
-                np.array_equal(kern.two_k, block),
-                f"kernel of Theta(1, {2 * k}, {2 * l}) differs from its "
-                "block form",
-            )
-        return f"tree kernels equal block forms for {len(_KL_PAIRS)} even-leg graphs"
+    for parity, extra in (("even", 0), ("odd", 1)):
 
-    results.append(_check("block-kernel-even", block_even_check))
+        def block_check(parity=parity, extra=extra):
+            for k, l in _KL_PAIRS:
+                _, tree = fixtures.theta1_tree(k, l, parity)
+                kern = winkler_kernel(tree.graph, tree)
+                block = build_theta1_block_kernel(k, l, parity).two_k
+                _require(
+                    np.array_equal(kern.two_k, block),
+                    f"kernel of Theta(1, {2 * k}, {2 * l + extra}) differs from its "
+                    "block form",
+                )
+            return f"tree kernels equal block forms for {len(_KL_PAIRS)} {parity}-leg graphs"
 
-    def block_odd_check():
-        for k, l in _KL_PAIRS:
-            _, tree = fixtures.theta1_tree(k, l, "odd")
-            kern = winkler_kernel(tree.graph, tree)
-            block = build_theta1_block_kernel(k, l, "odd").two_k
-            _require(
-                np.array_equal(kern.two_k, block),
-                f"kernel of Theta(1, {2 * k}, {2 * l + 1}) differs from its "
-                "block form",
-            )
-        return f"tree kernels equal block forms for {len(_KL_PAIRS)} odd-leg graphs"
-
-    results.append(_check("block-kernel-odd", block_odd_check))
+        results.append(_check(f"block-kernel-{parity}", block_check))
 
     def gershgorin_check():
         for parity in ("even", "odd"):

@@ -35,8 +35,6 @@ __all__ = [
     "reduce_ones_complement",
     "ones_reflector",
     "format_matrix_text",
-    "parse_matrix_text",
-    "parse_matrix_text_exact",
 ]
 
 
@@ -104,12 +102,11 @@ def _as_integer_sym(m) -> tuple[list[list[int]], int]:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Eigenvalues in descending order, matching orthonormal eigenvector
-    columns, and the worst residual max|Mv - lambda v|."""
+    """Eigenvalues in descending order and the matching orthonormal
+    eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual: float
 
 
 def eigen_sym(m) -> SpectrumResult:
@@ -121,7 +118,7 @@ def eigen_sym(m) -> SpectrumResult:
     a = _as_float_sym(m)
     n = a.shape[0]
     if n == 0:
-        return SpectrumResult(np.zeros(0), np.zeros((0, 0)), 0.0)
+        return SpectrumResult(np.zeros(0), np.zeros((0, 0)))
     try:
         lam, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as err:
@@ -129,10 +126,9 @@ def eigen_sym(m) -> SpectrumResult:
     # eigh returns ascending order; the contract is descending
     lam = lam[::-1].copy()
     vecs = vecs[:, ::-1].copy()
-    residual = float(np.abs(a @ vecs - vecs * lam).max())
     lam.setflags(write=False)
     vecs.setflags(write=False)
-    return SpectrumResult(lam, vecs, residual)
+    return SpectrumResult(lam, vecs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,10 +469,10 @@ def _format_entry(x) -> str:
     return repr(value)
 
 
-def format_matrix_text(m, exact: bool = False) -> str:
+def format_matrix_text(m) -> str:
     """Render a matrix in the text format: first line the dimension, then one
-    whitespace-separated row per line.  With exact=True entries are written
-    as exact rationals p/q."""
+    whitespace-separated row per line.  Fractions are written as exact
+    rationals p/q, integral values as integers, other floats by repr."""
     if isinstance(m, np.ndarray):
         rows = m.tolist()
     else:
@@ -484,44 +480,5 @@ def format_matrix_text(m, exact: bool = False) -> str:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise SpectraError("matrix must be square")
-    lines = [str(n)]
-    for row in rows:
-        if exact:
-            lines.append(" ".join(str(Fraction(x)) for x in row))
-        else:
-            lines.append(" ".join(_format_entry(x) for x in row))
+    lines = [str(n)] + [" ".join(_format_entry(x) for x in row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _matrix_tokens(text: str) -> list[list[str]]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line.split())
-    if not lines:
-        raise SpectraError("matrix text is empty")
-    if len(lines[0]) != 1:
-        raise SpectraError("first line must hold the dimension alone")
-    try:
-        n = int(lines[0][0])
-    except ValueError:
-        raise SpectraError(f"invalid dimension {lines[0][0]!r}") from None
-    rows = lines[1:]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise SpectraError(f"expected {n} rows of {n} entries")
-    return rows
-
-
-def parse_matrix_text_exact(text: str) -> list[list[Fraction]]:
-    rows = _matrix_tokens(text)
-    try:
-        return [[Fraction(tok) for tok in row] for row in rows]
-    except (ValueError, ZeroDivisionError) as err:
-        raise SpectraError(f"invalid matrix entry: {err}") from None
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    """Parse the matrix text format into a float array; entries may be
-    integers, decimals, or p/q rationals."""
-    return np.array([[float(x) for x in row] for row in parse_matrix_text_exact(text)])

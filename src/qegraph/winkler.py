@@ -11,6 +11,9 @@ the all-ones vector in the tree-edge basis.  The kernel depends on the
 directed tree edges and D alone.  Its positive semidefiniteness is equivalent
 to the existence of a quadratic embedding of the graph, independently of the
 chosen tree and edge directions.
+
+The entries of K are half-integers, so the package stores, decides and
+factors the integer matrix 2K, and halves only what it reports.
 """
 
 from __future__ import annotations
@@ -132,7 +135,8 @@ def default_orientation_and_tree(g: Graph) -> OrientedTree:
 class KernelMatrix:
     """Kernel of an oriented spanning tree, stored exactly as the read-only
     int64 matrix two_k = 2K (kernel entries are half-integers, the diagonal
-    is 2).
+    is 2).  two_k is the only form the package computes with: the Winkler
+    decision and the embedding both work on 2K and halve what they report.
 
     Only ``winkler_kernel`` and ``build_theta1_block_kernel`` build kernels;
     each hands over a new matrix already marked read-only, so construction
@@ -144,17 +148,14 @@ class KernelMatrix:
     def dim(self) -> int:
         return self.two_k.shape[0]
 
-    def as_float(self) -> np.ndarray:
-        return self.two_k / 2.0
-
-    def as_fractions(self) -> list[list[Fraction]]:
-        return [[Fraction(int(x), 2) for x in row] for row in self.two_k.tolist()]
-
     def to_text(self, exact: bool = False) -> str:
-        """Matrix text format; exact mode writes reduced rationals."""
-        if not exact:
-            return spectra.format_matrix_text(self.as_float())
-        return spectra.format_matrix_text(self.as_fractions(), exact=True)
+        """K in the matrix text format; exact mode writes reduced rationals
+        p/q, float mode decimals."""
+        if exact:
+            return spectra.format_matrix_text(
+                [[Fraction(x, 2) for x in row] for row in self.two_k.tolist()]
+            )
+        return spectra.format_matrix_text(self.two_k / 2.0)
 
 
 def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
@@ -241,13 +242,14 @@ class Embedding:
 def reconstruct_embedding(g: Graph) -> Embedding:
     """Explicit quadratic embedding of g built from a PSD tree kernel.
 
-    The kernel over the canonical BFS tree is factored through its
-    eigendecomposition (eigenvalues within ``DEFAULT_TOLERANCES.psd_rel``
-    of zero, relative to the largest, are clamped; genuinely negative ones
-    raise EmbeddingError), giving one vector per tree edge.  Vertex 0 sits at
-    the origin, and the other vertex vectors follow by propagation along tree
-    edges.  The result is validated against the whole metric to within 1e-8
-    (_EMBED_TOL).
+    The kernel K over the canonical BFS tree is factored through the
+    eigendecomposition of the integer 2K, whose eigenvalues are halved once
+    (eigenvalues of K within ``DEFAULT_TOLERANCES.psd_rel`` of zero,
+    relative to the largest, are clamped; genuinely negative ones raise
+    EmbeddingError), giving one vector per tree edge.  Vertex 0 sits at the
+    origin, and each tree edge (a, b), parent to child in discovery order,
+    gives b the vector of a plus the edge's vector.  The result is validated
+    against the whole metric to within 1e-8 (_EMBED_TOL).
     """
     tree = default_orientation_and_tree(g)
     kern = winkler_kernel(g, tree)
@@ -256,28 +258,18 @@ def reconstruct_embedding(g: Graph) -> Embedding:
         vectors = np.zeros((g.n, 0))
         vectors.setflags(write=False)
         return Embedding(vectors=vectors, max_error=0.0)
-    res = spectra.eigen_sym(kern.as_float())
-    lam = res.eigenvalues.copy()
+    res = spectra.eigen_sym(kern.two_k)
+    lam = res.eigenvalues / 2  # the eigenvalues of K
     bound = DEFAULT_TOLERANCES.psd_rel * max(1.0, float(lam[0]))
     if lam[-1] < -bound:
         raise EmbeddingError(f"kernel is not positive semidefinite (lambda_min = {lam[-1]:.3e})")
     keep = lam > bound  # clamp the near-zero band to exact zero
     edge_vecs = res.eigenvectors[:, keep] * np.sqrt(lam[keep])
-    by_vertex = [[] for _ in range(g.n)]
-    for idx, (a, b) in enumerate(tree.tree_edges):
-        by_vertex[a].append((b, idx, 1.0))
-        by_vertex[b].append((a, idx, -1.0))
     vectors = np.zeros((g.n, edge_vecs.shape[1]))
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque((0,))
-    while queue:
-        u = queue.popleft()
-        for w, idx, sign in by_vertex[u]:
-            if not seen[w]:
-                seen[w] = True
-                vectors[w] = vectors[u] + sign * edge_vecs[idx]
-                queue.append(w)
+    # the default tree's edges run parent to child in discovery order, so
+    # each tail is 0 or the head of an earlier edge
+    for (a, b), vec in zip(tree.tree_edges, edge_vecs):
+        vectors[b] = vectors[a] + vec
     gram = vectors @ vectors.T
     sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram
     max_error = float(np.abs(sq - d).max())

@@ -19,6 +19,7 @@ from qegraph import (
     distance_matrix,
     is_connected,
     is_isometrically_embedded,
+    is_psd,
     make_cycle,
     make_path,
     make_theta,
@@ -29,13 +30,15 @@ from qegraph import (
     run_reference_suite,
     sweep_to_csv,
     sweep_to_json,
+    winkler_kernel,
     witness_quadratic_form,
     witness_report,
 )
 
-from qegraph import analysis
+from qegraph import analysis, spectra
+from qegraph.config import MODES
 
-from conftest import floyd_warshall, run_python
+from conftest import floyd_warshall, random_connected_graph, random_sparse_graph, run_python
 
 
 class TestClosedForm:
@@ -95,6 +98,58 @@ class TestDecisionRoutes:
         g = make_path(1)
         assert classify_schoenberg(g).is_qe
         assert classify_winkler(g).is_qe
+
+
+class TestWinklerOnTwoK:
+    """classify_winkler decides on the integer matrix 2K and halves the
+    values it reports."""
+
+    def test_never_enters_the_generic_ingestion(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("the Winkler decision converted its kernel through Fractions")
+
+        monkeypatch.setattr(spectra, "_square_rows", refuse)
+        g = make_theta(ThetaSpec(2, 3, 5))  # singular kernel: auto escalates
+        for mode in ("exact", "auto"):
+            assert classify_winkler(g, mode=mode).mode_used == "exact", mode
+
+    def test_evidence_matches_the_decision_on_k(self, corpus, rng):
+        # is_psd on the float K is the reference.  Exact values must match
+        # exactly.  LAPACK's tridiagonal solver is not exactly scale-invariant,
+        # so float values of 2K, halved, may differ from K's by rounding (the
+        # random graphs include such kernels), and the eigenvector of a
+        # (near-)repeated lambda_min may be another unit vector of its
+        # eigenspace: float certificates are re-checked on K instead.
+        graphs = [g for _, g, _ in corpus] + [make_cycle(m) for m in range(3, 21)]
+        graphs += [random_sparse_graph(rng, n) for n in range(3, 71)]
+        graphs += [random_connected_graph(rng, n, 3.0 / n) for n in range(3, 71)]
+        eps = np.finfo(float).eps
+        for g in graphs:
+            kern = winkler_kernel(g)
+            k = kern.two_k / 2.0
+            for mode in MODES:
+                got = classify_winkler(g, mode=mode)
+                ref = is_psd(k, mode=mode)
+                ev = got.evidence
+                assert (got.is_qe, got.mode_used) == (ref.is_psd, ref.mode_used), (g.edges, mode)
+                assert ev["kernel_dim"] == kern.dim
+                if ref.lambda_max is None:
+                    assert ev["lambda_min"] is ev["lambda_max"] is None
+                else:
+                    tol = kern.dim * eps * ref.lambda_max
+                    assert abs(ev["lambda_max"] - ref.lambda_max) <= tol
+                    assert abs(ev["lambda_min"] - ref.lambda_min) <= tol
+                if ref.certificate is None:
+                    assert "certificate" not in ev
+                elif got.mode_used == "exact":
+                    assert ev["certificate"] == [str(c) for c in ref.certificate]
+                    assert ev["certificate_value"] == str(ref.certificate_value)
+                else:
+                    x = np.array(ev["certificate"])
+                    value = float(x @ k @ x)
+                    assert value < 0
+                    assert abs(value - ev["certificate_value"]) <= tol
+                    assert abs(ev["certificate_value"] - ref.certificate_value) <= tol
 
 
 class TestQec:

@@ -1,13 +1,17 @@
+import importlib
 import json
+import pkgutil
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qegraph
-from qegraph import Graph, distance_matrix, winkler_kernel
+from qegraph import Graph, distance_matrix, make_cycle, winkler_kernel
 from qegraph.cli import main
 
 from conftest import run_python
@@ -86,7 +90,7 @@ class TestClassify:
         assert payload["agreement"] is True
         g = Graph(payload["n"], tuple(tuple(e) for e in payload["edges"]))
         d = distance_matrix(g)
-        kern = winkler_kernel(g).as_float()
+        kern = winkler_kernel(g).two_k
         for verdict in payload["verdicts"]:
             if verdict["method"] == "closed-form":
                 continue
@@ -404,3 +408,26 @@ def test_runtime_imports_are_stdlib_and_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) == {"numpy", "qegraph"}
+
+
+def test_public_names_and_benchmark_trace_targets_resolve(monkeypatch):
+    # a deleted or renamed name fails here rather than first in the traced
+    # benchmark run, whose tracer wraps bench/tracer.TRACED by attribute and
+    # reads KernelMatrix.dim from each kernel
+    modules = [qegraph] + [
+        importlib.import_module(f"qegraph.{info.name}")
+        for info in pkgutil.iter_modules(qegraph.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    added = [name for name in ("tracer", "workloads", "oracles") if name not in sys.modules]
+    try:
+        tracer = importlib.import_module("tracer")
+        for span, home, attr in tracer.TRACED:
+            assert callable(getattr(home, attr, None)), span
+    finally:
+        for name in added:
+            sys.modules.pop(name, None)
+    assert winkler_kernel(make_cycle(4)).dim == 3

@@ -142,6 +142,15 @@ class TestOrientedTree:
         for a, b in tree.tree_edges:
             assert d[0, b] == d[0, a] + 1  # direction follows layers
 
+    def test_default_tree_lists_each_tail_before_its_edge(self, corpus):
+        # reconstruct_embedding propagates vertex vectors in one pass over
+        # the edges, which needs every tail placed before its edge
+        for uri, g, _ in corpus:
+            placed = {0}
+            for a, b in default_orientation_and_tree(g).tree_edges:
+                assert a in placed and b not in placed, (uri, a, b)
+                placed.add(b)
+
     def test_validation_errors(self):
         g = make_cycle(4)
         with pytest.raises(TreeError):
@@ -232,11 +241,11 @@ class TestKernel:
         for uri, g, _ in corpus:
             if g.n > 10:
                 continue
-            baseline = is_psd(winkler_kernel(g).as_float()).is_psd
+            baseline = is_psd(winkler_kernel(g).two_k).is_psd
             for _ in range(6):
                 tree = random_oriented_tree(rng, g)
                 kern = winkler_kernel(g, tree)
-                assert is_psd(kern.as_float()).is_psd == baseline, uri
+                assert is_psd(kern.two_k).is_psd == baseline, uri
 
     def test_orientation_flip_conjugates(self, rng):
         g = make_theta(ThetaSpec(2, 3, 4))
@@ -340,7 +349,7 @@ class TestBlockKernels:
     def test_psd_both_parities(self):
         for parity in ("even", "odd"):
             kern = build_theta1_block_kernel(3, 4, parity)
-            assert is_psd(kern.as_float()).is_psd
+            assert is_psd(kern.two_k).is_psd
 
 
 class TestZetaSigns:
