@@ -16,7 +16,6 @@ from .analysis import (
     QeVerdict,
     SweepReport,
     SweepRow,
-    WitnessReport,
     classification_sweep,
     classify_schoenberg,
     classify_theta_closed_form,
@@ -28,7 +27,6 @@ from .analysis import (
     sweep_to_csv,
     sweep_to_json,
     witness_quadratic_form,
-    witness_report,
 )
 from .config import DEFAULT_TOLERANCES, MODES, Tolerances
 from .graphs import (
@@ -36,17 +34,13 @@ from .graphs import (
     GraphError,
     ThetaSpec,
     distance_matrix,
-    format_edgelist,
     graph_from_uri,
-    is_connected,
-    is_isometrically_embedded,
     make_cycle,
     make_path,
     make_theta,
     parse_edgelist,
     read_edgelist,
     theta_spec_from_uri,
-    write_edgelist,
 )
 from .spectra import (
     CndVerdict,
@@ -83,12 +77,8 @@ __all__ = [
     "make_path",
     "make_cycle",
     "distance_matrix",
-    "is_connected",
-    "is_isometrically_embedded",
     "parse_edgelist",
-    "format_edgelist",
     "read_edgelist",
-    "write_edgelist",
     "graph_from_uri",
     "theta_spec_from_uri",
     "SpectraError",
@@ -110,7 +100,6 @@ __all__ = [
     "CheckError",
     "QeVerdict",
     "QecValue",
-    "WitnessReport",
     "SweepRow",
     "SweepReport",
     "FixtureResult",
@@ -121,7 +110,6 @@ __all__ = [
     "qec_cycle",
     "qec_theta1_bounds",
     "witness_quadratic_form",
-    "witness_report",
     "classification_sweep",
     "sweep_to_csv",
     "sweep_to_json",

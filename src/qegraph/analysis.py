@@ -29,7 +29,6 @@ __all__ = [
     "CheckError",
     "QeVerdict",
     "QecValue",
-    "WitnessReport",
     "SweepRow",
     "SweepReport",
     "FixtureResult",
@@ -40,7 +39,6 @@ __all__ = [
     "qec_cycle",
     "qec_theta1_bounds",
     "witness_quadratic_form",
-    "witness_report",
     "classification_sweep",
     "sweep_to_csv",
     "sweep_to_json",
@@ -262,24 +260,6 @@ def qec_theta1_bounds(beta: int, gamma: int) -> tuple[float, float]:
     return (low, 0.0)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    """Concrete vector certifying non-embeddability of the theta graph with
-    legs (2, 3, 2k+7), together with the attained positive quadratic form."""
-
-    k: int
-    spec: ThetaSpec
-    vertices: tuple[int, ...]
-    coefficients: tuple[int, ...]
-    quadratic_form: int
-
-    def full_vector(self) -> tuple[int, ...]:
-        out = [0] * self.spec.n_vertices
-        for v, c in zip(self.vertices, self.coefficients):
-            out[v] = c
-        return tuple(out)
-
-
 def witness_quadratic_form(k: int) -> int:
     """Evaluate the fixed witness vector against the distance matrix of
     Theta(2, 3, 2k+7), restricted to the 13 designated vertices.
@@ -305,21 +285,6 @@ def witness_quadratic_form(k: int) -> int:
     coeffs = np.array(fixtures.WITNESS_COEFFS, dtype=object)
     value = int(coeffs @ sub.astype(object) @ coeffs)
     return value
-
-
-def witness_report(k: int) -> WitnessReport:
-    k = int(k)
-    value = witness_quadratic_form(k)
-    spec = ThetaSpec(2, 3, 2 * k + 7)
-    names = fixtures.witness_vertex_names(k)
-    vertices = tuple(spec.vertex_index(name) for name in names)
-    return WitnessReport(
-        k=k,
-        spec=spec,
-        vertices=vertices,
-        coefficients=fixtures.WITNESS_COEFFS,
-        quadratic_form=value,
-    )
 
 
 @dataclass(frozen=True)

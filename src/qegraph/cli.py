@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import analysis
 from .config import DEFAULT_TOLERANCES, MODES, Tolerances
@@ -21,7 +22,7 @@ from .graphs import (
     distance_matrix,
     theta_spec_from_uri,
 )
-from .spectra import SpectraError, format_matrix_text
+from .spectra import SpectraError
 from .winkler import (
     EmbeddingError,
     TreeError,
@@ -90,6 +91,21 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
+
+
+def _format_entry(x) -> str:
+    if isinstance(x, float):
+        return str(int(x)) if x.is_integer() else repr(x)
+    return str(x)
+
+
+def format_matrix_text(rows: list[list]) -> str:
+    """Render a square matrix, given as its rows, in the text format: first
+    line the dimension, then one whitespace-separated row per line.  Ints
+    and Fractions are written by str (a Fraction as p/q), integral floats as
+    integers and other floats by repr."""
+    lines = [str(len(rows))] + [" ".join([_format_entry(x) for x in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _graph_and_tree(args: argparse.Namespace):
@@ -220,7 +236,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             indent=2,
         )
     else:
-        report = kern.to_text(exact=args.mode == "exact")
+        # K = 2K / 2: reduced rationals p/q in exact mode, decimals otherwise
+        if args.mode == "exact":
+            rows = [[Fraction(x, 2) for x in row] for row in kern.two_k.tolist()]
+        else:
+            rows = (kern.two_k / 2.0).tolist()
+        report = format_matrix_text(rows)
     _emit(report, args.out)
     return EXIT_OK
 
@@ -234,7 +255,7 @@ def cmd_distance(args: argparse.Namespace) -> int:
             indent=2,
         )
     else:
-        report = format_matrix_text(d)
+        report = format_matrix_text(d.tolist())
     _emit(report, args.out)
     return EXIT_OK
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,12 +28,8 @@ __all__ = [
     "make_path",
     "make_cycle",
     "distance_matrix",
-    "is_connected",
-    "is_isometrically_embedded",
     "parse_edgelist",
-    "format_edgelist",
     "read_edgelist",
-    "write_edgelist",
     "graph_from_uri",
     "theta_spec_from_uri",
 ]
@@ -228,10 +223,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return d
 
 
-def is_connected(g: Graph) -> bool:
-    return _bfs_row(g._adj, g.n, 0).count(-1) == 0
-
-
 @dataclass(frozen=True)
 class ThetaSpec:
     """Leg lengths (alpha, beta, gamma) of a theta graph.
@@ -367,39 +358,6 @@ def make_cycle(m: int) -> Graph:
     return Graph(m, tuple(edges))
 
 
-def is_isometrically_embedded(h: Graph, g: Graph, vertex_map) -> bool:
-    """Whether vertex_map realizes h inside g with all distances preserved.
-
-    vertex_map is a sequence over h's vertices (or an equivalent mapping).  It
-    must be injective and must send every edge of h to an edge of g; either
-    violation raises GraphError.  Returns True iff every pairwise distance in
-    h equals the distance between the image vertices in g.
-    """
-    if isinstance(vertex_map, Mapping):
-        try:
-            phi = [_vertex(vertex_map[v]) for v in range(h.n)]
-        except KeyError as missing:
-            raise GraphError(f"vertex map has no image for vertex {missing}") from None
-    elif isinstance(vertex_map, Sequence) or isinstance(vertex_map, np.ndarray):
-        phi = [_vertex(x) for x in vertex_map]
-        if len(phi) != h.n:
-            raise GraphError(f"vertex map must cover all {h.n} vertices, got {len(phi)}")
-    else:
-        raise GraphError(f"vertex map must be a sequence or mapping, got {type(vertex_map)!r}")
-    for img in phi:
-        if not 0 <= img < g.n:
-            raise GraphError(f"image vertex {img} out of range for {g.n} vertices")
-    if len(set(phi)) != len(phi):
-        raise GraphError("vertex map is not injective")
-    for u, v in h.edges:
-        if not g.has_edge(phi[u], phi[v]):
-            raise GraphError(f"edge ({u}, {v}) maps to the non-edge ({phi[u]}, {phi[v]})")
-    dh = distance_matrix(h)
-    dg = distance_matrix(g)
-    idx = np.asarray(phi)
-    return bool((dh == dg[np.ix_(idx, idx)]).all())
-
-
 def _data_lines(text: str):
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -429,18 +387,8 @@ def parse_edgelist(text: str) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def format_edgelist(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def read_edgelist(path) -> Graph:
     return parse_edgelist(Path(path).read_text())
-
-
-def write_edgelist(g: Graph, path) -> None:
-    Path(path).write_text(format_edgelist(g))
 
 
 def theta_spec_from_uri(uri: str) -> ThetaSpec | None:

@@ -33,8 +33,6 @@ __all__ = [
     "is_psd",
     "is_cnd",
     "reduce_ones_complement",
-    "ones_reflector",
-    "format_matrix_text",
 ]
 
 
@@ -326,20 +324,6 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     return verdict
 
 
-def ones_reflector(n: int) -> np.ndarray:
-    """Symmetric orthogonal matrix whose first column is the normalized
-    all-ones vector; the remaining columns are an orthonormal basis of its
-    orthogonal complement."""
-    if n < 1:
-        raise SpectraError(f"need at least one dimension, got {n}")
-    if n == 1:
-        return np.ones((1, 1))
-    w = -np.full(n, 1.0 / math.sqrt(n))
-    w[0] += 1.0
-    h = np.eye(n) - (2.0 / float(w @ w)) * np.outer(w, w)
-    return h
-
-
 def _check_distance_matrix(d) -> np.ndarray:
     a = _as_float_sym(d)
     if a.size and (np.diag(a) != 0).any():
@@ -351,17 +335,25 @@ def _check_distance_matrix(d) -> np.ndarray:
 
 def reduce_ones_complement(d) -> tuple[np.ndarray, np.ndarray]:
     """Compression of a symmetric matrix to the orthogonal complement of the
-    all-ones vector.  Returns (r, basis) with r = basis^T d basis and basis
-    an orthonormal n x (n-1) matrix of columns orthogonal to ones."""
+    all-ones vector, in the basis of the last n - 1 columns of the
+    Householder reflector H = I - w w^T (||w||^2 = 2, H e_1 = ones / sqrt(n)).
+
+    Returns (r, w) with r = (H d H)[1:, 1:], formed in O(n^2) by the
+    rank-two update H d H = d - (w k^T + k w^T), k = d w - (w^T d w) w / 2.
+    r is exactly symmetric.  A vector x with x_0 = 0 lifts to the
+    complement as H x = x - (w^T x) w."""
     a = _as_float_sym(d)
     n = a.shape[0]
     if n < 2:
         raise SpectraError("reduction needs at least 2 vertices")
-    h = ones_reflector(n)
-    basis = h[:, 1:]
-    r = basis.T @ a @ basis
-    r = (r + r.T) / 2.0
-    return r, basis
+    w = np.full(n, -1.0 / math.sqrt(n))
+    w[0] += 1.0
+    w *= math.sqrt(2.0 / float(w @ w))
+    y = a @ w
+    k = y - (0.5 * float(w @ y)) * w
+    p = np.outer(w[1:], k[1:])
+    r = a[1:, 1:] - (p + p.T)
+    return r, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,10 +428,11 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
         return _is_cnd_exact(d)
     if a.shape[0] < 2:
         return CndVerdict(is_cnd=True, mode_used="float")
-    r, basis = reduce_ones_complement(a)
+    r, w = reduce_ones_complement(a)
     verdict, bound, vec = _is_psd_float(-r, tol)
     max_eig = -verdict.lambda_min
-    f = basis @ vec
+    x = np.concatenate(([0.0], vec))
+    f = x - float(w @ x) * w
     maximizer = tuple(f.tolist())
     if mode == "auto" and abs(verdict.lambda_min) < _AUTO_ESCALATION * bound:
         return replace(_is_cnd_exact(d), max_eig=max_eig, maximizer=maximizer)
@@ -456,29 +449,3 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
         certificate=maximizer,
         certificate_value=value,
     )
-
-
-def _format_entry(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    value = float(x)
-    if value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
-def format_matrix_text(m) -> str:
-    """Render a matrix in the text format: first line the dimension, then one
-    whitespace-separated row per line.  Fractions are written as exact
-    rationals p/q, integral values as integers, other floats by repr."""
-    if isinstance(m, np.ndarray):
-        rows = m.tolist()
-    else:
-        rows = [list(row) for row in m]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise SpectraError("matrix must be square")
-    lines = [str(n)] + [" ".join(_format_entry(x) for x in row) for row in rows]
-    return "\n".join(lines) + "\n"

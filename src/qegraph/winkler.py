@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "build_theta1_block_kernel",
     "reconstruct_embedding",
     "parse_tree_text",
-    "format_tree_text",
     "read_tree_file",
 ]
 
@@ -100,11 +98,6 @@ class OrientedTree:
         object.__setattr__(tree, "tree_edges", tree_edges)
         return tree
 
-    def omitted_edges(self) -> tuple[tuple[int, int], ...]:
-        """Host edges outside the tree, as pairs (u, v) with u < v."""
-        in_tree = {(a, b) if a < b else (b, a) for a, b in self.tree_edges}
-        return tuple([e for e in self.graph.edges if e not in in_tree])
-
 
 def default_orientation_and_tree(g: Graph) -> OrientedTree:
     """Canonical tree: breadth-first tree rooted at vertex 0 with edges in
@@ -147,15 +140,6 @@ class KernelMatrix:
     @property
     def dim(self) -> int:
         return self.two_k.shape[0]
-
-    def to_text(self, exact: bool = False) -> str:
-        """K in the matrix text format; exact mode writes reduced rationals
-        p/q, float mode decimals."""
-        if exact:
-            return spectra.format_matrix_text(
-                [[Fraction(x, 2) for x in row] for row in self.two_k.tolist()]
-            )
-        return spectra.format_matrix_text(self.two_k / 2.0)
 
 
 def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
@@ -234,10 +218,6 @@ class Embedding:
     vectors: np.ndarray
     max_error: float
 
-    def squared_distance(self, x: int, y: int) -> float:
-        diff = self.vectors[x] - self.vectors[y]
-        return float(diff @ diff)
-
 
 def reconstruct_embedding(g: Graph) -> Embedding:
     """Explicit quadratic embedding of g built from a PSD tree kernel.
@@ -296,10 +276,6 @@ def parse_tree_text(text: str, g: Graph) -> OrientedTree:
         except ValueError:
             raise TreeError(f"tree endpoints must be integers, got {line!r}") from None
     return OrientedTree(g, tuple(tree))
-
-
-def format_tree_text(tree: OrientedTree) -> str:
-    return "\n".join(f"{a} {b}" for a, b in tree.tree_edges) + "\n"
 
 
 def read_tree_file(path, g: Graph) -> OrientedTree:

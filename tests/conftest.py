@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import qegraph
-from qegraph import Graph, OrientedTree, graph_from_uri, is_connected
+from qegraph import Graph, OrientedTree, graph_from_uri
 
 INF = 10**9
 
@@ -34,6 +34,17 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, k:k + 1] + d[k:k + 1, :])
     return d
+
+
+def is_connected(g: Graph) -> bool:
+    return bool((floyd_warshall(g) < INF).all())
+
+
+def is_isometric(h: Graph, g: Graph, phi) -> bool:
+    """Whether the vertex map phi (a sequence over h's vertices) preserves
+    every distance of h inside g."""
+    phi = np.asarray(phi)
+    return bool((floyd_warshall(h) == floyd_warshall(g)[np.ix_(phi, phi)]).all())
 
 
 def prufer_decode(seq: tuple[int, ...], n: int) -> tuple[tuple[int, int], ...]:

@@ -17,8 +17,8 @@ from qegraph import (
     classify_winkler,
     default_orientation_and_tree,
     distance_matrix,
-    is_connected,
-    is_isometrically_embedded,
+    fixtures,
+    graph_from_uri,
     is_psd,
     make_cycle,
     make_path,
@@ -32,13 +32,19 @@ from qegraph import (
     sweep_to_json,
     winkler_kernel,
     witness_quadratic_form,
-    witness_report,
 )
 
 from qegraph import analysis, spectra
 from qegraph.config import MODES
 
-from conftest import floyd_warshall, random_connected_graph, random_sparse_graph, run_python
+from conftest import (
+    floyd_warshall,
+    is_connected,
+    is_isometric,
+    random_connected_graph,
+    random_sparse_graph,
+    run_python,
+)
 
 
 class TestClosedForm:
@@ -252,7 +258,7 @@ class TestIsometricMonotonicity:
             g = make_theta(spec)
             ring = spec.path_vertices("z")
             h = make_cycle(gamma + 1)
-            assert is_isometrically_embedded(h, g, dict(enumerate(ring)))
+            assert is_isometric(h, g, ring)
             assert qec(h).value <= qec(g).value + 1e-8, (beta, gamma)
 
     def test_balanced_theta_rings(self):
@@ -262,7 +268,7 @@ class TestIsometricMonotonicity:
             ring = list(spec.path_vertices("y"))
             ring += list(spec.path_vertices("z"))[-2:0:-1]
             h = make_cycle(len(ring))
-            assert is_isometrically_embedded(h, g, dict(enumerate(ring)))
+            assert is_isometric(h, g, ring)
             assert qec(h).value <= qec(g).value + 1e-8, legs
 
 
@@ -330,28 +336,96 @@ class TestVertexGluing:
         assert all(x[i] == 0 for i in bridges)
 
 
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """G □ H on the pairs (u, v), numbered u * h.n + v: (u, v) ~ (u', v')
+    when u = u' and v ~ v' in H, or v = v' and u ~ u' in G."""
+    edges = [(u * h.n + a, u * h.n + b) for u in range(g.n) for a, b in h.edges]
+    edges += [(a * h.n + v, b * h.n + v) for a, b in g.edges for v in range(h.n)]
+    return Graph(g.n * h.n, tuple(edges))
+
+
+def tree_two_k(d: np.ndarray, tree) -> np.ndarray:
+    """2K(e_i, e_j) = d(a_i, b_j) - d(a_i, a_j) - d(b_i, b_j) + d(b_i, a_j)."""
+    a, b = np.array(tree).T
+    return d[np.ix_(a, b)] - d[np.ix_(a, a)] - d[np.ix_(b, b)] + d[np.ix_(b, a)]
+
+
+class TestCartesianProduct:
+    # G □ H is QE iff both G and H are (Obata and Zakiyyah, Electron. J.
+    # Graph Theory Appl. 6 (2018) 37-60): a metamorphic identity at 50-110
+    # vertices, checked against the factors' exact verdicts, with every
+    # certificate and embedding re-checked against Floyd-Warshall.
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            ("cycle:7", "path:8"),
+            ("theta:2,2,2", "path:10"),
+            ("theta:2,3,5", "cycle:12"),
+            ("theta:2,3,9", "path:8"),
+            ("cycle:9", "cycle:11"),
+            ("theta:1,4,6", "theta:2,3,7"),
+        ],
+    )
+    def test_product_is_qe_iff_both_factors_are(self, left, right):
+        factors = [graph_from_uri(left), graph_from_uri(right)]
+        want = all(classify_schoenberg(f, mode="exact").is_qe for f in factors)
+        g = cartesian_product(*factors)
+        assert 50 <= g.n <= 110
+        d = floyd_warshall(g)
+        s = classify_schoenberg(g, mode="auto")
+        w = classify_winkler(g, mode="auto")
+        assert s.is_qe == w.is_qe == want, (s.mode_used, w.mode_used)
+        tree = default_orientation_and_tree(g).tree_edges
+        assert len(tree) == g.n - 1 and {tuple(sorted(e)) for e in tree} <= set(g.edges)
+        if want:
+            emb = reconstruct_embedding(g).vectors
+            gram = emb @ emb.T
+            sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram
+            assert np.abs(sq - d).max() <= 1e-8
+            return
+        f, x = s.evidence["certificate"], w.evidence["certificate"]
+        if s.mode_used == "exact":
+            f = [Fraction(v) for v in f]
+            assert sum(f) == 0 and quadratic_form(d.tolist(), f) > 0
+        else:
+            f = np.array(f)
+            assert abs(f.sum()) <= 1e-8 and float(f @ d @ f) > 0
+        if w.mode_used == "exact":
+            x = [Fraction(v) for v in x]
+            assert quadratic_form(tree_two_k(d, tree).tolist(), x) < 0
+        else:
+            x = np.array(x)
+            assert float(x @ tree_two_k(d, tree) @ x) < 0
+
+
+def witness_vector(k: int) -> tuple[ThetaSpec, np.ndarray]:
+    """Theta(2, 3, 2k+7) and the full witness vector over its vertices."""
+    spec = ThetaSpec(2, 3, 2 * k + 7)
+    f = np.zeros(spec.n_vertices, dtype=np.int64)
+    for name, c in zip(fixtures.witness_vertex_names(k), fixtures.WITNESS_COEFFS, strict=True):
+        f[spec.vertex_index(name)] = c
+    return spec, f
+
+
 class TestWitness:
     def test_value_for_small_k(self):
         for k in (1, 2, 3, 7):
             assert witness_quadratic_form(k) == 16272
 
     def test_report_contents(self):
-        rep = witness_report(2)
-        assert rep.spec == ThetaSpec(2, 3, 11)
-        assert rep.quadratic_form == 16272
-        assert len(rep.vertices) == len(rep.coefficients) == 13
-        full = rep.full_vector()
-        assert len(full) == rep.spec.n_vertices
-        assert sum(full) == 0
-        d = distance_matrix(make_theta(rep.spec))
-        f = np.array(full, dtype=np.int64)
-        assert int(f @ d @ f) == 16272
+        spec, f = witness_vector(2)
+        assert spec == ThetaSpec(2, 3, 11)
+        assert len(f) == spec.n_vertices and np.count_nonzero(f) == 13
+        assert sum(f) == 0
+        d = floyd_warshall(make_theta(spec))
+        assert int(f @ d @ f) == 16272 == witness_quadratic_form(2)
 
     def test_positive_form_certifies_non_embeddability(self):
         # the witness exhibits <f, Df> > 0 with sum(f) = 0
-        rep = witness_report(1)
-        assert rep.quadratic_form > 0
-        assert not classify_schoenberg(make_theta(rep.spec)).is_qe
+        spec, f = witness_vector(1)
+        g = make_theta(spec)
+        assert sum(f) == 0 and int(f @ floyd_warshall(g) @ f) > 0
+        assert not classify_schoenberg(g).is_qe
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,15 +17,15 @@ from qegraph import (
     is_psd,
     make_cycle,
     make_theta,
+    qec_cycle,
     winkler_kernel,
 )
 from qegraph.spectra import (
     SpectraError,
     _as_integer_sym,
-    format_matrix_text,
-    ones_reflector,
     reduce_ones_complement,
 )
+from qegraph.cli import format_matrix_text
 
 from conftest import random_connected_graph
 
@@ -405,24 +406,68 @@ class TestTolerances:
         assert Tolerances(psd_rel=1e-3).psd_rel == 1e-3
 
 
-class TestOnesComplement:
-    def test_reflector_is_orthogonal_with_ones_column(self):
-        for n in (2, 3, 7):
-            h = ones_reflector(n)
-            assert np.abs(h.T @ h - np.eye(n)).max() <= 1e-12
-            assert np.allclose(h[:, 0], np.ones(n) / np.sqrt(n))
+def dense_householder(n: int) -> np.ndarray:
+    """The n x n reflector I - 2 v v^T / (v^T v), v = e_1 - ones / sqrt(n),
+    which maps e_1 to ones / sqrt(n); built densely, as an oracle."""
+    v = -np.full(n, 1.0 / np.sqrt(n))
+    v[0] += 1.0
+    return np.eye(n) - (2.0 / float(v @ v)) * np.outer(v, v)
 
-    def test_reduction_basis_annihilates_ones(self):
-        d = distance_matrix(random_connected_graph(__import__("random").Random(7), 8))
-        r, basis = reduce_ones_complement(d)
-        assert np.abs(basis.T @ np.ones(8)).max() <= 1e-12
-        assert r.shape == (7, 7)
+
+@pytest.fixture(scope="module")
+def compression_cases():
+    rng = random.Random(7)
+    graphs = [graph_from_uri("path:2")] + [random_connected_graph(rng, n) for n in (3, 8, 49)]
+    graphs += [graph_from_uri("cycle:301"), graph_from_uri("theta:1,150,150")]
+    return [distance_matrix(g).astype(float) for g in graphs]
+
+
+class TestOnesComplement:
+    def test_reflector_is_orthogonal_with_ones_column(self, compression_cases):
+        for d in compression_cases:
+            n = d.shape[0]
+            _, w = reduce_ones_complement(d)
+            assert abs(float(w @ w) - 2.0) <= 1e-12
+            h = np.eye(n) - np.outer(w, w)
+            assert np.abs(h.T @ h - np.eye(n)).max() <= 1e-12
+            assert np.abs(h[:, 0] - np.ones(n) / np.sqrt(n)).max() <= 1e-12
+
+    def test_matches_dense_householder_oracle(self, compression_cases):
+        for d in compression_cases:
+            n = d.shape[0]
+            r, _ = reduce_ones_complement(d)
+            h = dense_householder(n)
+            oracle = (h @ d @ h)[1:, 1:]
+            assert r.shape == (n - 1, n - 1)
+            assert (r == r.T).all(), n
+            assert np.abs(r - oracle).max() <= 1e-9 * n, n
+
+    def test_reduction_basis_annihilates_ones(self, compression_cases, nprng):
+        # x = [0, v] lifts to H x = x - (w^T x) w, a vector of the complement
+        for d in compression_cases:
+            n = d.shape[0]
+            _, w = reduce_ones_complement(d)
+            for _ in range(3):
+                vec = nprng.normal(size=n - 1)
+                x = np.concatenate(([0.0], vec / np.linalg.norm(vec)))
+                f = x - float(w @ x) * w
+                assert abs(float(np.linalg.norm(f)) - 1.0) <= 1e-12, n
+                assert abs(float(f.sum())) <= 1e-12, n
+
+    def test_maximizer_attains_max_eig_on_long_cycle(self):
+        d = distance_matrix(graph_from_uri("cycle:301"))
+        verdict = is_cnd(d, mode="float")
+        f = np.array(verdict.maximizer)
+        assert abs(float(np.linalg.norm(f)) - 1.0) <= 1e-12
+        assert abs(float(f.sum())) <= 1e-12
+        assert abs(float(f @ d @ f) - verdict.max_eig) <= 1e-9 * 301
+        assert abs(verdict.max_eig - qec_cycle(301)) <= 1e-9
 
 
 class TestMatrixText:
     def test_float_round_trip(self, nprng):
         m = random_symmetric(nprng, 5)
-        lines = format_matrix_text(m).splitlines()
+        lines = format_matrix_text(m.tolist()).splitlines()
         assert lines[0] == "5"
         back = np.array([[float(x) for x in line.split()] for line in lines[1:]])
         assert np.allclose(back, m, atol=1e-15)
