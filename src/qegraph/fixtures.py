@@ -6,12 +6,11 @@ witness for legs (2, 3, 2k+7)."""
 from __future__ import annotations
 
 import math
-from importlib import resources
 
 import numpy as np
 
 from .graphs import Graph, ThetaSpec, make_theta
-from .winkler import OrientedTree, parse_tree_text
+from .winkler import OrientedTree, _theta1_params
 
 __all__ = [
     "QE_THETA_SPECS",
@@ -28,21 +27,26 @@ __all__ = [
 
 QE_THETA_SPECS = (ThetaSpec(2, 3, 3), ThetaSpec(2, 3, 5), ThetaSpec(2, 3, 7))
 
-
-def bundled_tree_text(name: str) -> str:
-    return (resources.files(__package__) / "data" / name).read_text()
+# Directed tree edges in kernel row order; vertices as make_theta numbers
+# them: 0 bottom junction, 1 top junction, 2 x1, 3 y1, 4 y2, then z1, z2, ...
+_TREES = {
+    QE_THETA_SPECS[0]: ((1, 2), (2, 0), (1, 4), (3, 0), (1, 6), (5, 0)),
+    QE_THETA_SPECS[1]: ((1, 2), (2, 0), (1, 4), (3, 0), (1, 8), (8, 7), (6, 5), (5, 0)),
+    QE_THETA_SPECS[2]: (
+        (1, 2), (2, 0), (1, 4), (3, 0), (1, 10), (10, 9), (9, 8), (7, 6), (6, 5), (5, 0),
+    ),
+}
 
 
 def reference_tree(spec: ThetaSpec, g: Graph | None = None) -> OrientedTree:
-    """The bundled oriented spanning tree for one of the three embeddable
-    (2, 3, gamma) theta graphs."""
+    """The reference oriented spanning tree for one of the three embeddable
+    (2, 3, gamma) theta graphs, checked as any tree from outside is."""
     spec = spec.normalized()
-    if spec not in QE_THETA_SPECS:
+    if spec not in _TREES:
         raise ValueError(f"no bundled tree for {spec.uri()}")
     if g is None:
         g = make_theta(spec)
-    name = f"theta_{spec.alpha}_{spec.beta}_{spec.gamma}.tree"
-    return parse_tree_text(bundled_tree_text(name), g)
+    return OrientedTree(g, _TREES[spec])
 
 
 _TWO_K_2_3_3 = (
@@ -126,13 +130,7 @@ def theta1_tree(k: int, l: int, parity: str) -> tuple[Graph, OrientedTree]:
     length-1 leg and the 2l-th z-edge) or Theta(1, 2k, 2l+1) (parity "odd";
     omits the length-1 leg and the middle z-edge), edges listed y-path first
     then z-path, all directed bottom to top."""
-    k, l = int(k), int(l)
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if k < 2 or l < 2:
-        raise ValueError(f"need k >= 2 and l >= 2, got k={k}, l={l}")
-    if parity == "even" and l < k:
-        raise ValueError(f"even parity needs k <= l, got k={k}, l={l}")
+    k, l = _theta1_params(k, l, parity)
     gamma = 2 * l if parity == "even" else 2 * l + 1
     spec = ThetaSpec(1, 2 * k, gamma)
     g = make_theta(spec)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +51,7 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
     Edges are stored as lexicographically sorted (u, v) pairs with u < v.
-    Loops and parallel edges are rejected.  ``labels``, when given, holds one
-    display string per vertex; labels are presentation only and do not take
-    part in equality.
+    Loops and parallel edges are rejected.
 
     Derived data is computed at most once and lives as long as the graph: the
     distance matrix (see ``distance_matrix``) and the Schoenberg verdicts of
@@ -63,7 +61,6 @@ class Graph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = _vertex(self.n)
@@ -90,11 +87,6 @@ class Graph:
             canon.append((u, v))
         canon.sort()
         object.__setattr__(self, "edges", tuple(canon))
-        if self.labels is not None:
-            labels = tuple([str(s) for s in self.labels])  # built from a list, see _adj
-            if len(labels) != n:
-                raise GraphError(f"expected {n} labels, got {len(labels)}")
-            object.__setattr__(self, "labels", labels)
         adj = [[] for _ in range(n)]
         for u, v in canon:
             adj[u].append(v)
@@ -121,16 +113,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = _vertex(u), _vertex(v)
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set()
-
-    def _edge_set(self) -> frozenset:
-        cached = getattr(self, "_edges_frozen", None)
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edges_frozen", cached)
-        return cached
+        # a negative u would index the last vertices' neighbours
+        return 0 <= u < self.n and v in self._adj[u]
 
 
 def _bfs_row(adj, n: int, source: int) -> list[int]:
@@ -254,10 +238,6 @@ class ThetaSpec:
     def n_vertices(self) -> int:
         return self.alpha + self.beta + self.gamma - 1
 
-    @property
-    def n_edges(self) -> int:
-        return self.alpha + self.beta + self.gamma
-
     def normalized(self) -> "ThetaSpec":
         """The same graph with legs sorted ascending."""
         a, b, c = sorted(self.legs)
@@ -318,26 +298,17 @@ class ThetaSpec:
         return (0, *range(base, base + length - 1), 1)
 
 
-def make_theta(spec, beta: int | None = None, gamma: int | None = None) -> Graph:
-    """Theta graph for a ThetaSpec (or three leg lengths given directly).
+def make_theta(spec: ThetaSpec) -> Graph:
+    """Theta graph of a ThetaSpec.
 
     Vertex 0 and 1 are the junctions of degree 3; interior vertices follow in
-    path order along the x, y and z legs.
+    path order along the x, y and z legs (see ThetaSpec.vertex_index).
     """
-    if beta is not None or gamma is not None:
-        spec = ThetaSpec(spec, beta, gamma)
-    elif not isinstance(spec, ThetaSpec):
-        spec = ThetaSpec(*spec)
     edges = []
-    labels = [""] * spec.n_vertices
     for kind in ("x", "y", "z"):
         seq = spec.path_vertices(kind)
         edges.extend(zip(seq, seq[1:]))
-        for j in range(1, len(seq) - 1):
-            labels[seq[j]] = f"{kind}{j}"
-    labels[0] = "x0=y0=z0"
-    labels[1] = f"x{spec.alpha}=y{spec.beta}=z{spec.gamma}"
-    return Graph(spec.n_vertices, tuple(edges), tuple(labels))
+    return Graph(spec.n_vertices, tuple(edges))
 
 
 def make_path(n: int) -> Graph:
@@ -400,8 +371,9 @@ def theta_spec_from_uri(uri: str) -> ThetaSpec | None:
 
 def graph_from_uri(uri: str) -> Graph:
     """Graph named by a builtin URI (theta:A,B,C, path:N, cycle:N) or a file path."""
-    if uri.startswith("theta:"):
-        return make_theta(ThetaSpec.parse(uri[len("theta:"):]))
+    spec = theta_spec_from_uri(uri)
+    if spec is not None:
+        return make_theta(spec)
     for prefix, builder in (("path:", make_path), ("cycle:", make_cycle)):
         if uri.startswith(prefix):
             arg = uri[len(prefix):]

@@ -56,7 +56,8 @@ def _square_rows(m) -> list[list]:
 
 
 def _as_float_sym(m) -> np.ndarray:
-    rows = m if isinstance(m, np.ndarray) else _square_rows(m)
+    # an empty row list is the 0 x 0 matrix, as it is to the exact route
+    rows = m if isinstance(m, np.ndarray) else (_square_rows(m) or np.zeros((0, 0)))
     try:
         a = np.asarray(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):

@@ -18,6 +18,7 @@ factors the integer matrix 2K, and halves only what it reports.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import spectra
 from .config import DEFAULT_TOLERANCES
-from .graphs import Graph, GraphError, _bfs_row, distance_matrix
+from .graphs import Graph, GraphError, _bfs_row, _data_lines, distance_matrix
 
 __all__ = [
     "TreeError",
@@ -54,6 +55,14 @@ class EmbeddingError(ValueError):
     """Embedding reconstruction failed (kernel not PSD or distances broken)."""
 
 
+def _tree_edge(e) -> tuple[int, int]:
+    try:
+        a, b = e
+        return operator.index(a), operator.index(b)
+    except (TypeError, ValueError):
+        raise TreeError(f"tree edge must be a pair of integer vertices, got {e!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class OrientedTree:
     """A spanning tree of a host graph, given by its directed edges.
@@ -73,7 +82,7 @@ class OrientedTree:
     def __post_init__(self):
         g = self.graph
         # tuples built from lists, see graphs.Graph._adj
-        tree = tuple([(int(a), int(b)) for a, b in self.tree_edges])
+        tree = tuple([_tree_edge(e) for e in self.tree_edges])
         if len(tree) != g.n - 1:
             raise TreeError(f"spanning tree needs {g.n - 1} edges, got {len(tree)}")
         adj = [[] for _ in range(g.n)]
@@ -165,6 +174,19 @@ def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     return KernelMatrix(two_k)
 
 
+def _theta1_params(k: int, l: int, parity: str) -> tuple[int, int]:
+    """(k, l) as ints, checked for the length-1-leg families Theta(1, 2k, 2l)
+    (parity "even", 2 <= k <= l) and Theta(1, 2k, 2l+1) ("odd", k, l >= 2)."""
+    k, l = int(k), int(l)
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    if k < 2 or l < 2:
+        raise ValueError(f"need k >= 2 and l >= 2, got k={k}, l={l}")
+    if parity == "even" and l < k:
+        raise ValueError(f"even parity needs k <= l, got k={k}, l={l}")
+    return k, l
+
+
 def build_theta1_block_kernel(k: int, l: int, parity: str) -> KernelMatrix:
     """Closed-form kernel for theta graphs with a length-1 leg.
 
@@ -173,13 +195,7 @@ def build_theta1_block_kernel(k: int, l: int, parity: str) -> KernelMatrix:
     dimension 2k + 2l - 1.  parity "odd" gives Theta(1, 2k, 2l+1) (edges a_1
     and c_{l+1} omitted; k, l >= 2), dimension 2k + 2l.
     """
-    k, l = int(k), int(l)
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if k < 2 or l < 2:
-        raise ValueError(f"need k >= 2 and l >= 2, got k={k}, l={l}")
-    if parity == "even" and l < k:
-        raise ValueError(f"even parity needs k <= l, got k={k}, l={l}")
+    k, l = _theta1_params(k, l, parity)
     # banded coupling between the two halves of an even path
     def band(rows: int, cols: int) -> np.ndarray:
         a = np.zeros((rows, cols), dtype=np.int64)
@@ -264,10 +280,7 @@ def parse_tree_text(text: str, g: Graph) -> OrientedTree:
     significant; '#' comments and blank lines allowed.  The edges must form a
     spanning tree of g (TreeError otherwise)."""
     tree = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in _data_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise TreeError(f"expected 'a b' on tree line, got {line!r}")

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import pkgutil
 import re
@@ -251,7 +252,8 @@ class TestKernelCommand:
         from qegraph import fixtures
 
         tree_file = tmp_path / "ref.tree"
-        tree_file.write_text(fixtures.bundled_tree_text("theta_2_3_3.tree"))
+        edges = fixtures.reference_tree(qegraph.ThetaSpec(2, 3, 3)).tree_edges
+        tree_file.write_text("".join(f"{a} {b}\n" for a, b in edges))
         code, out, _ = run_cli(
             capsys, "kernel", "theta:2,3,3", "--tree", str(tree_file), "--mode", "exact"
         )
@@ -298,13 +300,9 @@ class TestVerifyCommand:
     def test_tampered_fixture_fails(self, capsys, monkeypatch):
         from qegraph import fixtures
 
-        real = fixtures.bundled_tree_text
-        flipped = real("theta_2_3_3.tree").replace("1 2", "2 1", 1)
-        monkeypatch.setattr(
-            fixtures,
-            "bundled_tree_text",
-            lambda name: flipped if name == "theta_2_3_3.tree" else real(name),
-        )
+        spec = qegraph.ThetaSpec(2, 3, 3)
+        (a, b), *rest = fixtures._TREES[spec]
+        monkeypatch.setitem(fixtures._TREES, spec, ((b, a), *rest))
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL" in out
@@ -410,7 +408,18 @@ def test_runtime_imports_are_stdlib_and_numpy():
     assert set(proc.stdout.split()) == {"numpy", "qegraph"}
 
 
-def test_public_names_and_benchmark_trace_targets_resolve(monkeypatch):
+@pytest.fixture
+def bench_import(monkeypatch):
+    """importlib.import_module with bench/ on the path; the benchmark
+    modules it loads are dropped again afterwards."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    added = [name for name in ("tracer", "workloads", "oracles") if name not in sys.modules]
+    yield importlib.import_module
+    for name in added:
+        sys.modules.pop(name, None)
+
+
+def test_public_names_and_benchmark_trace_targets_resolve(bench_import):
     # a deleted or renamed name fails here rather than first in the traced
     # benchmark run, whose tracer wraps bench/tracer.TRACED by attribute and
     # reads KernelMatrix.dim from each kernel
@@ -421,13 +430,15 @@ def test_public_names_and_benchmark_trace_targets_resolve(monkeypatch):
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    added = [name for name in ("tracer", "workloads", "oracles") if name not in sys.modules]
-    try:
-        tracer = importlib.import_module("tracer")
-        for span, home, attr in tracer.TRACED:
-            assert callable(getattr(home, attr, None)), span
-    finally:
-        for name in added:
-            sys.modules.pop(name, None)
+    for span, home, attr in bench_import("tracer").TRACED:
+        assert callable(getattr(home, attr, None)), span
     assert winkler_kernel(make_cycle(4)).dim == 3
+
+
+def test_benchmark_operations_run(bench_import):
+    # a changed call form the benchmark relies on fails here rather than
+    # first in the benchmark run; each operation checks its own verdicts
+    workloads = bench_import("workloads")
+    for name in workloads.WORKLOADS:
+        for item in itertools.islice(workloads.stream(name, 1), 10):
+            workloads.OPERATIONS[name](item)

@@ -19,6 +19,7 @@ from qegraph import (
     read_edgelist,
     theta_spec_from_uri,
 )
+from qegraph import graphs
 from qegraph.graphs import _SEIDEL_MIN_N
 
 from conftest import (
@@ -41,6 +42,12 @@ class TestGraph:
         assert not g.has_edge(0, 3)
         assert g.neighbors(2) == (0, 1)
         assert g.degree(2) == 2
+
+    def test_has_edge_is_false_outside_the_vertex_range(self):
+        # vertex 2 is the path's last: index -1 must not reach its neighbour 1
+        g = make_path(3)
+        for u, v in ((-1, 1), (1, -1), (-3, 1), (1, -3), (3, 2), (2, 3), (5, 0), (0, 5)):
+            assert not g.has_edge(u, v), (u, v)
 
     def test_rejects_loops_duplicates_and_range(self):
         with pytest.raises(GraphError):
@@ -113,6 +120,22 @@ class TestGraph:
         g = random_sparse_graph(rng, n) if sparse else random_connected_graph(rng, n)
         assert np.array_equal(distance_matrix(g), floyd_warshall(g))
 
+    def test_float64_seidel_matches_floyd_warshall(self, monkeypatch):
+        # the float64 products serve graphs above _FLOAT32_MAX_N (4096)
+        # vertices; lowering the cut runs them on small graphs
+        monkeypatch.setattr(graphs, "_FLOAT32_MAX_N", 20)
+        rng = random.Random(20261018)
+        cases = [graph_from_uri("cycle:61")]
+        for n in (16, 21, 37, 80):
+            cases += [random_sparse_graph(rng, n), random_connected_graph(rng, n)]
+        for g in cases:
+            d = distance_matrix(g)
+            assert d.dtype == np.int64 and d.flags.c_contiguous and not d.flags.writeable
+            assert np.array_equal(d, floyd_warshall(g)), g.n
+        with pytest.raises(GraphError) as err:
+            distance_matrix(Graph(40, tuple((i, i + 1) for i in range(39) if i != 19)))
+        assert str(err.value) == "graph is not connected: vertices 0 and 20 have no joining path"
+
     @pytest.mark.parametrize(
         "name",
         ["path:60", "cycle:301", "theta:1,150,150", "complete:30", "dense:300"],
@@ -137,7 +160,6 @@ class TestThetaSpec:
     def test_counts_and_uri(self):
         spec = ThetaSpec(2, 3, 5)
         assert spec.n_vertices == 9
-        assert spec.n_edges == 10
         assert spec.uri() == "theta:2,3,5"
         assert ThetaSpec.parse("5, 2,3").normalized() == spec
         assert theta_spec_from_uri("theta:2,3,5") == spec
@@ -160,7 +182,7 @@ class TestThetaSpec:
         assert spec.path_vertices("y") == (0, 3, 4, 1)
         assert spec.path_vertices("z") == (0, 5, 6, 7, 8, 1)
 
-    def test_make_theta_labels_name_path_positions(self):
+    def test_make_theta_layout_matches_vertex_names(self):
         specs = [
             ThetaSpec(a, b, c)
             for a, b, c in itertools.product(range(1, 12), repeat=3)
@@ -168,13 +190,15 @@ class TestThetaSpec:
         ]
         specs.append(ThetaSpec(5, 1, 3))
         for spec in specs:
-            labels = make_theta(spec).labels
+            g = make_theta(spec)
+            assert g.n_edges == sum(spec.legs)
             for kind, length in zip("xyz", spec.legs):
-                for j in range(1, length):
-                    name = f"{kind}{j}"
-                    assert labels[spec.vertex_index(name)] == name, (spec, name)
-            assert labels[0] == "x0=y0=z0"
-            assert labels[1] == "x{}=y{}=z{}".format(*spec.legs)
+                path = spec.path_vertices(kind)
+                assert len(path) == length + 1
+                for j, v in enumerate(path):
+                    assert spec.vertex_index(f"{kind}{j}") == v, (spec, kind, j)
+                for u, v in zip(path, path[1:]):
+                    assert g.has_edge(u, v), (spec, kind, u, v)
 
     def test_make_theta_structure(self):
         for legs in itertools.combinations_with_replacement(range(1, 7), 3):

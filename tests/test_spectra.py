@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qegraph import (
+    ThetaSpec,
     Tolerances,
     distance_matrix,
     eigen_sym,
@@ -229,10 +230,17 @@ class TestIsPsd:
             with pytest.raises(SpectraError, match="must be square"):
                 is_cnd([[0, 2], [2]], mode=mode)
 
+    def test_empty_row_list_is_the_empty_matrix(self):
+        for mode in ("float", "exact", "auto"):
+            assert is_psd([], mode=mode).is_psd
+            assert is_cnd([], mode=mode).is_cnd
+        res = eigen_sym([])
+        assert res.eigenvalues.shape == (0,) and res.eigenvectors.shape == (0, 0)
+
     def test_float_certificate_value_does_not_depend_on_memory_order(self):
         # theta(2,3,9) is not QE: both routes return a float certificate,
         # whose value v.Mv must not change with the input's memory order
-        g = make_theta(2, 3, 9)
+        g = make_theta(ThetaSpec(2, 3, 9))
         k = winkler_kernel(g).two_k
         d = distance_matrix(g)
         for mode in ("float", "auto"):

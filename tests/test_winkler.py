@@ -169,6 +169,16 @@ class TestOrientedTree:
         with pytest.raises(TreeError):
             OrientedTree(g, cyc[:3] + ((3, 0),))
 
+    def test_endpoints_must_be_integer_pairs(self):
+        g = make_path(3)
+        for bad in ((0, 1.7), (0, "1"), ("0", 1), (1,), (0, 1, 2), 2):
+            with pytest.raises(TreeError) as err:
+                OrientedTree(g, ((1, 2), bad))
+            assert repr(bad) in str(err.value)
+        tree = OrientedTree(g, ((np.int64(0), 1), (1, np.int32(2))))
+        assert tree.tree_edges == ((0, 1), (1, 2))
+        assert all(type(x) is int for e in tree.tree_edges for x in e)
+
     def test_public_check_accepts_default_trees(self, corpus, rng):
         # the canonical tree skips the public check; it must pass it anyway
         graphs = [g for _, g, _ in corpus]
