@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fixtures
-from .config import DEFAULT_TOLERANCES, Tolerances, validate_mode
+from .config import DEFAULT_TOLERANCES, Tolerances, require_int, validate_mode
 from .graphs import Graph, ThetaSpec, distance_matrix, make_cycle, make_theta
 from .spectra import CndVerdict, is_cnd, is_psd
 from .winkler import OrientedTree, build_theta1_block_kernel, winkler_kernel
@@ -239,7 +239,7 @@ def qec(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> QecValue:
 
 def qec_cycle(m: int) -> float:
     """Closed form for the embedding constant of the cycle on m vertices."""
-    m = int(m)
+    m = require_int(m, "m")
     if m < 3:
         raise ValueError(f"a cycle needs at least 3 vertices, got {m}")
     if m % 2 == 0:
@@ -251,7 +251,7 @@ def qec_theta1_bounds(beta: int, gamma: int) -> tuple[float, float]:
     """Closed-form bracket for the embedding constant of a theta graph with
     legs (1, beta, gamma), 2 <= beta <= gamma.  Exact value 0 unless both
     beta and gamma are even."""
-    beta, gamma = int(beta), int(gamma)
+    beta, gamma = require_int(beta, "beta"), require_int(gamma, "gamma")
     if not 2 <= beta <= gamma:
         raise ValueError(f"need 2 <= beta <= gamma, got ({beta}, {gamma})")
     if beta % 2 == 1 or gamma % 2 == 1:
@@ -267,7 +267,7 @@ def witness_quadratic_form(k: int) -> int:
     The value is independent of k because the witness sums to zero on each
     side of the block whose distances grow with k.
     """
-    k = int(k)
+    k = require_int(k, "k")
     if k < 1:
         raise ValueError(f"witness needs k >= 1, got {k}")
     spec = ThetaSpec(2, 3, 2 * k + 7)
@@ -323,7 +323,7 @@ def classification_sweep(
     Enumerates normalized legs alpha <= beta <= gamma with
     alpha + beta + gamma - 1 <= max_vertices.
     """
-    max_vertices = int(max_vertices)
+    max_vertices = require_int(max_vertices, "max_vertices")
     validate_mode(mode)
     if max_vertices < 5:
         raise ValueError(f"max_vertices must be at least 5, got {max_vertices}")

@@ -1,8 +1,9 @@
-"""Shared numeric tolerances and computation modes."""
+"""Shared numeric tolerances, computation modes and argument checks."""
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 MODES = ("float", "exact", "auto")
@@ -34,3 +35,12 @@ def validate_mode(mode: str) -> str:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return mode
+
+
+def require_int(value, name: str) -> int:
+    """value as an int, accepting numpy integers; a float, a string or any
+    other non-integer raises ValueError instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from .config import require_int
 from .graphs import Graph, ThetaSpec, make_theta
 from .winkler import OrientedTree, _theta1_params
 
@@ -180,7 +181,7 @@ WITNESS_STEP.setflags(write=False)
 
 def witness_vertex_names(k: int) -> tuple[str, ...]:
     """Path-position names of the 13 designated vertices in Theta(2, 3, 2k+7)."""
-    k = int(k)
+    k = require_int(k, "k")
     if k < 1:
         raise ValueError(f"witness needs k >= 1, got {k}")
     return (

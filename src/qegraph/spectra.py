@@ -3,14 +3,16 @@
 The float route uses LAPACK's symmetric eigensolver through numpy.  The exact
 route scales a rational matrix to integers, splits the index set into the
 irreducible blocks of the nonzero pattern, and runs one iterative
-fraction-free (Bareiss) symmetric elimination with diagonal pivoting over
-Python ints on the lower triangle of each block.  That decides positive
-semidefiniteness without any tolerance and produces an explicit negativity
-certificate when the answer is no: a failing block's certificate padded
-with zeros.  Exact conditional negative definiteness reduces the distance
-matrix over differences e_i - e_r at a central vertex r, which keeps the
-entries small and, on trees, splits the reduction into one block per
-branch.
+fraction-free (Bareiss) symmetric elimination with diagonal pivoting on
+each block: on an int64 array for a block of _NUMPY_MIN_DIM rows or more
+while its entries stay below 2**31 in magnitude, over Python ints on the
+lower triangle past that bound and for smaller blocks.  That decides
+positive semidefiniteness without any tolerance and produces an explicit
+negativity certificate when the answer is no: a failing block's
+certificate padded with zeros.  Exact conditional negative definiteness
+reduces the distance matrix over differences e_i - e_r at a central vertex
+r, which keeps the entries small and, on trees, splits the reduction into
+one block per branch.
 """
 
 from __future__ import annotations
@@ -44,6 +46,14 @@ class SpectraError(ValueError):
 # below this multiple of the float tolerance psd_rel * max(1, lambda_max).
 _AUTO_ESCALATION = 10.0
 
+# While every entry of a block is below this bound in magnitude, a Bareiss
+# step p * a_ij - a_ik * a_kj fits in int64.
+_INT64_SAFE = 2**31
+
+# Exact elimination runs blocks of at least this many rows as int64 arrays;
+# below it numpy's cost per step exceeds the Python arithmetic it replaces.
+_NUMPY_MIN_DIM = 16
+
 
 def _square_rows(m) -> list[list]:
     try:
@@ -73,9 +83,12 @@ def _as_float_sym(m) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def _as_integer_sym(m) -> tuple[list[list[int]], int]:
-    """Integer rows A and the positive scale s with m = A / s exactly: s is
-    the lcm of the entries' denominators, so A keeps every verdict of m."""
+def _as_integer_sym(m) -> tuple[np.ndarray, int]:
+    """Integer matrix A and the positive scale s with m = A / s exactly: s is
+    the lcm of the entries' denominators, so A keeps every verdict of m.
+    A is an int64 array (the caller's own when it is one; never written)
+    if every entry of A is below 2**31 in magnitude, else an object array
+    of Python ints."""
     # Each distinct entry is converted once.  The exact path builds no tuple
     # by spreading a row into arguments or from a generator (certificates are
     # built from lists): the interpreter keeps freed tuples of up to 19 items
@@ -85,7 +98,9 @@ def _as_integer_sym(m) -> tuple[list[list[int]], int]:
             raise SpectraError("matrix must be square")
         if not (m == m.T).all():
             raise SpectraError("matrix must be exactly symmetric")
-        return m.tolist(), 1
+        if m.size == 0 or (-_INT64_SAFE < m.min() and m.max() < _INT64_SAFE):
+            return m.astype(np.int64, copy=False), 1
+        return np.array(m.tolist(), dtype=object), 1  # Python ints: uint64 never wraps
     rows = _square_rows(m)
     try:
         exact = {x: Fraction(x) for x in {x for row in rows for x in row}}
@@ -96,7 +111,9 @@ def _as_integer_sym(m) -> tuple[list[list[int]], int]:
     rows = [[scaled[x] for x in row] for row in rows]
     if any(row[j] != rows[j][i] for i, row in enumerate(rows) for j in range(i)):
         raise SpectraError("matrix must be exactly symmetric")
-    return rows, scale
+    small = max(map(abs, scaled.values()), default=0) < _INT64_SAFE
+    n = len(rows)
+    return np.array(rows, dtype=np.int64 if small else object).reshape(n, n), scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +164,17 @@ class PsdVerdict:
     certificate_value: object | None = None
 
 
-def _quad_form(rows: list[list[int]], v: list[int]) -> int:
-    support = [(i, vi) for i, vi in enumerate(v) if vi]
-    return sum(vi * sum(rows[i][j] * vj for j, vj in support) for i, vi in support)
+def _principal(a: np.ndarray, idx) -> np.ndarray:
+    # the principal submatrix on idx, a new array; two takes cost a third
+    # of what fancy indexing through np.ix_ costs on small blocks
+    return a.take(idx, 0).take(idx, 1)
+
+
+def _quad_form(a: np.ndarray, v: list[int]) -> int:
+    support = [i for i, vi in enumerate(v) if vi]
+    vs = [v[i] for i in support]
+    sub = _principal(a, support).tolist()
+    return sum(vi * sum(x * vj for x, vj in zip(row, vs)) for vi, row in zip(vs, sub))
 
 
 def _zero_pivot_certificate(low: list[list[int]]) -> list[int] | None:
@@ -169,10 +194,13 @@ def _zero_pivot_certificate(low: list[list[int]]) -> list[int] | None:
     return None
 
 
-def _irreducible_blocks(rows: list[list[int]]) -> list[list[int]]:
+def _irreducible_blocks(a: np.ndarray) -> list[list[int]]:
     """The connected components of the nonzero pattern, each in increasing
     index order; the search stops once one component covers every index."""
-    m = len(rows)
+    m = len(a)
+    rows, cols = np.nonzero(a)
+    ends = np.searchsorted(rows, np.arange(m + 1)).tolist()
+    cols = cols.tolist()
     seen = [False] * m
     found = 0
     blocks = []
@@ -185,8 +213,8 @@ def _irreducible_blocks(rows: list[list[int]]) -> list[list[int]]:
         for u in block:  # grows while it is read: a breadth-first search
             if found == m:
                 break
-            for j, x in enumerate(rows[u]):
-                if x and not seen[j]:
+            for j in cols[ends[u] : ends[u + 1]]:
+                if not seen[j]:
                     seen[j] = True
                     found += 1
                     block.append(j)
@@ -195,11 +223,15 @@ def _irreducible_blocks(rows: list[list[int]]) -> list[list[int]]:
     return blocks
 
 
-def _bareiss_certificate(low: list[list[int]]) -> list[int] | None:
+def _lower(a: np.ndarray) -> list[list[int]]:
+    return [row[: t + 1] for t, row in enumerate(a.tolist())]
+
+
+def _bareiss_certificate(low: list[list[int]], prev: int = 1) -> list[int] | None:
     """Fraction-free elimination of one symmetric block, given as its lower
-    triangle low[i] = [a_i0, ..., a_ii], which it consumes."""
+    triangle low[i] = [a_i0, ..., a_ii], which it consumes; prev is the
+    pivot of the elimination steps already applied to it, if any."""
     pivots = []  # (position, pivot, pivot column over the block left after it)
-    prev = 1
     while low:
         k = max(range(len(low)), key=lambda i: low[i][-1])
         p = low[k][-1]
@@ -228,7 +260,56 @@ def _bareiss_certificate(low: list[list[int]]) -> list[int] | None:
     return v
 
 
-def _integer_psd_certificate(rows: list[list[int]]) -> list[int] | None:
+def _bareiss_int64(a: np.ndarray) -> list[int] | None:
+    """_bareiss_certificate on the int64 block a, which it overwrites, with
+    the same pivots and the same certificate.
+
+    Nothing is deleted: each step updates the whole block, which turns the
+    pivot's row and column to zeros that stay zero, so the first largest
+    diagonal entry is the first largest live one.  Once no positive pivot
+    is left, the zero-pivot rules run on the live block in order.  Once an
+    entry reaches 2**31 in magnitude (where p * a - c * c could leave
+    int64), the live block goes on, in order, to the list loop instead.
+    Either certificate is lifted back through the pivots here as the list
+    loop lifts through its own."""
+    pivots = []  # (index, pivot, pivot row as Python ints)
+    prev = 1
+    while True:
+        in_range = a.max() < _INT64_SAFE and -_INT64_SAFE < a.min()
+        k = int(a.diagonal().argmax())
+        p = int(a[k, k])
+        if not in_range or p <= 0:
+            break
+        c = a[k]
+        cc = np.multiply.outer(c, c)
+        pivots.append((k, p, c.tolist()))
+        a *= p
+        a -= cc
+        if prev != 1:
+            a //= prev
+        prev = p
+    done = {k for k, _, _ in pivots}
+    support = [i for i in range(len(a)) if i not in done]
+    low = _lower(_principal(a, support))
+    v = _zero_pivot_certificate(low) if in_range else _bareiss_certificate(low, prev)
+    if v is None:
+        return None
+    # v lives on support, the indices still live after pivot k: the entries
+    # of the list loop's pivot column, in another order
+    for k, p, col in reversed(pivots):
+        xk = -sum([col[i] * x for i, x in zip(support, v)])
+        v = [p * x for x in v]
+        v.append(xk)
+        support.append(k)
+        g = reduce(math.gcd, v)
+        v = [x // g for x in v]
+    cert = [0] * len(a)
+    for i, x in zip(support, v):
+        cert[i] = x
+    return cert
+
+
+def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     """None iff the integer symmetric matrix is PSD; otherwise an integer
     vector v with gcd 1 and <v, Av> < 0.
 
@@ -239,20 +320,29 @@ def _integer_psd_certificate(rows: list[list[int]]) -> list[int] | None:
     other indices, is a certificate for the whole matrix.
 
     Each block is decided by fraction-free (Bareiss) symmetric elimination
-    with diagonal pivoting on its lower triangle only: each step pivots on
-    the first largest live diagonal entry p and updates the live block by
+    with diagonal pivoting: each step pivots on the first largest live
+    diagonal entry p and updates the live block by
     (p a_ij - a_ik a_kj) / prev, where prev is the previous pivot.  The
     division is exact by Sylvester's identity, and the live block stays prev
     times the Schur complement, so it keeps the definiteness of the
     remainder.  When no positive pivot is left, the zero-pivot rules give a
     certificate on the live block, lifted back through the stored pivot
     columns: x_k = -(col_k . v) / p, scaled by p to stay integral.
+
+    A block of at least _NUMPY_MIN_DIM rows with int64 entries is
+    eliminated as one int64 array while its entries stay below 2**31 in
+    magnitude and goes on over Python ints past that; a smaller block, or
+    one with larger entries, runs over Python ints on its lower triangle
+    throughout.  Both give the same pivots and the same certificate.
     """
-    for block in _irreducible_blocks(rows):
-        low = [[rows[i][j] for j in block[: t + 1]] for t, i in enumerate(block)]
-        cert = _bareiss_certificate(low)
+    for block in _irreducible_blocks(a):
+        sub = _principal(a, block)
+        if len(block) >= _NUMPY_MIN_DIM and sub.dtype == np.int64:
+            cert = _bareiss_int64(sub)
+        else:
+            cert = _bareiss_certificate(_lower(sub))
         if cert is not None:
-            v = [0] * len(rows)
+            v = [0] * len(a)
             for i, x in zip(block, cert):
                 v[i] = x
             return v
@@ -260,11 +350,11 @@ def _integer_psd_certificate(rows: list[list[int]]) -> list[int] | None:
 
 
 def _is_psd_exact(m) -> PsdVerdict:
-    rows, scale = _as_integer_sym(m)
-    cert = _integer_psd_certificate(rows)
+    a, scale = _as_integer_sym(m)
+    cert = _integer_psd_certificate(a)
     if cert is None:
         return PsdVerdict(is_psd=True, mode_used="exact")
-    value = _quad_form(rows, cert)
+    value = _quad_form(a, cert)
     if value >= 0:
         raise SpectraError("internal error: exact certificate failed re-validation")
     return PsdVerdict(
@@ -389,21 +479,19 @@ def _is_cnd_exact(d) -> CndVerdict:
     whenever r lies on a geodesic from i to j, so on a tree R splits into
     one irreducible block per branch at r.
     """
-    rows, scale = _as_integer_sym(d)
-    if len(rows) < 2:
+    a, scale = _as_integer_sym(d)
+    n = len(a)
+    if n < 2:
         return CndVerdict(is_cnd=True, mode_used="exact")
-    ecc = [max(row) for row in rows]
-    r = ecc.index(min(ecc))
-    dr = rows[r][:r] + rows[r][r + 1 :]
-    reduced = [
-        [ri + rj - dij for rj, dij in zip(dr, row[:r] + row[r + 1 :])]
-        for ri, row in zip(dr, rows[:r] + rows[r + 1 :])
-    ]
+    r = int(a.max(axis=1).argmin())
+    others = np.delete(np.arange(n), r)
+    dr = a[r, others]
+    reduced = dr[:, None] + dr[None, :] - _principal(a, others)
     v = _integer_psd_certificate(reduced)
     if v is None:
         return CndVerdict(is_cnd=True, mode_used="exact")
     f = v[:r] + [-sum(v)] + v[r:]
-    value = _quad_form(rows, f)
+    value = _quad_form(a, f)
     if value <= 0:
         raise SpectraError("internal error: exact certificate failed re-validation")
     return CndVerdict(

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import spectra
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, require_int
 from .graphs import Graph, GraphError, _bfs_row, _data_lines, distance_matrix
 
 __all__ = [
@@ -177,7 +177,7 @@ def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
 def _theta1_params(k: int, l: int, parity: str) -> tuple[int, int]:
     """(k, l) as ints, checked for the length-1-leg families Theta(1, 2k, 2l)
     (parity "even", 2 <= k <= l) and Theta(1, 2k, 2l+1) ("odd", k, l >= 2)."""
-    k, l = int(k), int(l)
+    k, l = require_int(k, "k"), require_int(l, "l")
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     if k < 2 or l < 2:

@@ -9,8 +9,10 @@ import pytest
 
 from qegraph import (
     Graph,
+    OrientedTree,
     ThetaSpec,
     Tolerances,
+    build_theta1_block_kernel,
     classification_sweep,
     classify_schoenberg,
     classify_theta_closed_form,
@@ -199,6 +201,46 @@ class TestQec:
         assert low == pytest.approx(-1.0 / (4.0 * math.cos(math.pi / 7.0) ** 2))
         with pytest.raises(ValueError):
             qec_theta1_bounds(4, 3)
+
+
+class TestIntegerArguments:
+    """The closed forms and fixtures take integers: a float or a string is
+    rejected instead of truncated, and numpy integers are accepted."""
+
+    CALLS = [
+        (analysis.witness_quadratic_form, (2,), 0),
+        (fixtures.witness_vertex_names, (2,), 0),
+        (build_theta1_block_kernel, (2, 3, "even"), 0),
+        (build_theta1_block_kernel, (2, 3, "odd"), 1),
+        (fixtures.theta1_tree, (2, 3, "even"), 1),
+        (qec_cycle, (5,), 0),
+        (qec_theta1_bounds, (4, 6), 1),
+        (classification_sweep, (6,), 0),
+    ]
+
+    @pytest.mark.parametrize("fn, args, at", CALLS)
+    @pytest.mark.parametrize("bad", [1.9, 2.0, "7", None])
+    def test_non_integers_are_rejected(self, fn, args, at, bad):
+        args = list(args)
+        args[at] = bad
+        with pytest.raises(ValueError, match="must be an integer"):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn, args, at", CALLS)
+    def test_numpy_integers_are_accepted(self, fn, args, at):
+        np_args = list(args)
+        np_args[at] = np.int32(args[at])
+
+        def comparable(x):
+            if isinstance(x, tuple) and isinstance(x[-1], OrientedTree):
+                return x[-1].tree_edges
+            if hasattr(x, "two_k"):
+                return x.two_k.tolist()
+            if hasattr(x, "rows"):
+                return sweep_to_csv(x)
+            return x
+
+        assert comparable(fn(*np_args)) == comparable(fn(*args))
 
 
 class TestSchoenbergMemo:

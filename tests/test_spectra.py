@@ -17,10 +17,12 @@ from qegraph import (
     is_cnd,
     is_psd,
     make_cycle,
+    make_path,
     make_theta,
     qec_cycle,
     winkler_kernel,
 )
+from qegraph import spectra
 from qegraph.spectra import (
     SpectraError,
     _as_integer_sym,
@@ -256,15 +258,18 @@ class TestIsPsd:
 
 class TestExactIngestion:
     def test_integer_array_matches_generic_path(self, corpus):
-        # an integer ndarray skips the Fraction conversion: same rows of
-        # Python ints and scale 1 as the list path gives
+        # an integer ndarray skips the Fraction conversion: the same int64
+        # matrix and scale 1 as the list path gives, and the caller's own
+        # int64 array comes back unconverted
         graphs = [g for _, g, _ in corpus] + [make_cycle(45), graph_from_uri("theta:2,3,40")]
         for g in graphs:
             for m in (distance_matrix(g), winkler_kernel(g).two_k):
-                rows, scale = _as_integer_sym(m)
-                assert (rows, scale) == _as_integer_sym(m.tolist())
-                assert scale == 1 and all(type(x) is int for row in rows for x in row)
-                assert _as_integer_sym(np.asfortranarray(m)) == (rows, scale)
+                a, scale = _as_integer_sym(m)
+                b, list_scale = _as_integer_sym(m.tolist())
+                assert scale == list_scale == 1
+                assert np.shares_memory(a, m) and b.dtype == np.int64 and np.array_equal(a, b)
+                f, f_scale = _as_integer_sym(np.asfortranarray(m))
+                assert f_scale == 1 and f.dtype == np.int64 and np.array_equal(f, a)
 
     def test_asymmetric_integer_array_is_rejected(self):
         m = np.array([[0, 1, 2], [1, 0, 1], [3, 1, 0]], dtype=np.int64)
@@ -354,6 +359,165 @@ class TestExactCore:
 
             assert form(verdict.certificate) == verdict.certificate_value < 0
             assert form(cert) < 0
+
+
+def draw_planted_case(rng: np.random.Generator, n: int, kind: str) -> tuple[np.ndarray, bool]:
+    """An n x n integer symmetric matrix and whether it is PSD, known by
+    construction rather than computed."""
+    b = rng.integers(-1, 2, size=(int(rng.integers(1, n)), n))  # rank below n
+    i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+    if kind == "gram":
+        return b.T @ b, True
+    if kind == "shifted":
+        # B z = 0 for z = e_i - e_j, so z^T (B^T B - cI) z = -2c
+        b[:, j] = b[:, i]
+        return b.T @ b - int(rng.integers(1, 4)) * np.eye(n, dtype=np.int64), False
+    if kind == "zero-diagonal":
+        # a zero diagonal entry beside a non-zero one in its row: the 2 x 2
+        # principal minor on i, j is negative
+        b[:, i] = 0
+        a = b.T @ b
+        a[i, j] = a[j, i] = int(rng.choice((-2, -1, 1, 2)))
+        return a, False
+    # a permuted direct sum of two parts: PSD iff both parts are
+    cut = int(rng.integers(2, n - 1))
+    a = np.zeros((n, n), dtype=np.int64)
+    truth = True
+    for lo, hi in ((0, cut), (cut, n)):
+        part_kind = str(rng.choice(("gram", "shifted", "zero-diagonal")))
+        part, part_psd = draw_planted_case(rng, hi - lo, part_kind)
+        a[lo:hi, lo:hi] = part
+        truth = truth and part_psd
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)], truth
+
+
+def on_list_loop(decide, m):
+    """decide(m) with every block below the cut, so on the Python-int loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_NUMPY_MIN_DIM", 10**9)
+        return decide(m)
+
+
+def outcome(verdict) -> tuple:
+    decision = verdict.is_psd if hasattr(verdict, "is_psd") else verdict.is_cnd
+    return decision, verdict.certificate, verdict.certificate_value
+
+
+def int_form(m, v) -> int:
+    """<v, Mv> over Python ints, v an integer vector."""
+    rows = np.asarray(m, dtype=object).tolist()
+    v = [int(x) for x in v]
+    return sum(vi * rows[i][j] * vj for i, vi in enumerate(v) for j, vj in enumerate(v))
+
+
+class TestInt64Elimination:
+    """Blocks of _NUMPY_MIN_DIM rows or more run as int64 arrays and hand
+    off to Python ints past 2**31; the result must be the list loop's."""
+
+    @given(
+        st.integers(min_value=12, max_value=60),
+        st.sampled_from(("gram", "shifted", "zero-diagonal", "direct-sum")),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_planted_truth_and_list_loop(self, n, kind, seed):
+        a, truth = draw_planted_case(np.random.default_rng(seed), n, kind)
+        verdict = is_psd(a, mode="exact")
+        assert verdict.is_psd == truth
+        if not truth:
+            value = int_form(a, verdict.certificate)
+            assert value < 0 and value == verdict.certificate_value
+        assert outcome(verdict) == outcome(on_list_loop(lambda m: is_psd(m, mode="exact"), a))
+
+    def test_elimination_past_two_to_the_31_hands_off(self, monkeypatch):
+        # entries near 2**20 pass 2**31 after the first pivot, so the int64
+        # loop takes some pivots and the list loop the rest, carrying prev
+        rng = np.random.default_rng(31)
+        handoffs = []
+        real = spectra._bareiss_certificate
+
+        def spy(low, prev=1):
+            handoffs.append(prev)
+            return real(low, prev)
+
+        monkeypatch.setattr(spectra, "_bareiss_certificate", spy)
+        for shift in (0, 1):
+            b = rng.integers(-(2**8), 2**8, size=(30, 40))
+            b[:, 7] = b[:, 3]
+            a = b.T @ b - shift * np.eye(40, dtype=np.int64)
+            assert 2**19 < np.abs(a).max() < 2**31
+            handoffs.clear()
+            verdict = is_psd(a, mode="exact")
+            assert len(handoffs) == 1 and handoffs[0] > 1
+            assert verdict.is_psd == (shift == 0)
+            if shift:
+                assert int_form(a, verdict.certificate) == verdict.certificate_value < 0
+            assert outcome(verdict) == outcome(on_list_loop(lambda m: is_psd(m, mode="exact"), a))
+
+    def test_entries_past_int64_stay_python_ints(self):
+        # uint64 2**63 + 1 wraps negative in int64
+        n = 20
+        a = np.ones((n, n), dtype=np.uint64)
+        a[0, 0] = 2**63 + 1
+        assert is_psd(a, mode="exact").is_psd
+        a[0, 1] = a[1, 0] = 2**62  # the 2 x 2 minor on 0, 1 is now negative
+        verdict = is_psd(a, mode="exact")
+        assert not verdict.is_psd
+        assert int_form(a, verdict.certificate) == verdict.certificate_value < 0
+        assert outcome(verdict) == outcome(is_psd(a.tolist(), mode="exact"))
+        # Fractions whose lcm is far past 2**31: B^T B +/- diag(1/p_i) over
+        # distinct primes p_i is PD, and not PSD once B has a kernel
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:n]
+        b = np.random.default_rng(5).integers(-1, 2, size=(n - 3, n)).tolist()
+        gram = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+        for sign in (1, -1):
+            m = [row[:] for row in gram]
+            for i, p in enumerate(primes):
+                m[i][i] += sign * Fraction(1, p)
+            verdict = is_psd(m, mode="exact")
+            assert verdict.is_psd == (sign == 1)
+            if sign < 0:
+                v = verdict.certificate
+                form = sum(vi * m[i][j] * vj for i, vi in enumerate(v) for j, vj in enumerate(v))
+                assert form == verdict.certificate_value < 0
+        # big Python ints in a distance matrix: D * 2**40 has the verdicts of D
+        for uri in ("cycle:41", "theta:2,3,9"):
+            d = distance_matrix(graph_from_uri(uri))
+            big = is_cnd([[int(x) << 40 for x in row] for row in d.tolist()], mode="exact")
+            assert big.is_cnd == is_cnd(d, mode="exact").is_cnd
+            if not big.is_cnd:
+                assert sum(big.certificate) == 0
+                assert big.certificate_value == Fraction(int_form(d, big.certificate) << 40) > 0
+
+    def test_small_integer_distance_dtypes(self):
+        # on a 256-vertex path d(i, r) + d(j, r) reaches 256, which wraps in
+        # uint8; a tree is QE, so the verdict must stay positive
+        d = distance_matrix(make_path(256))
+        want = is_cnd(d, mode="exact")
+        assert want.is_cnd
+        for dtype in (np.uint8, np.int16):
+            assert outcome(is_cnd(d.astype(dtype), mode="exact")) == outcome(want)
+        d = distance_matrix(graph_from_uri("theta:2,3,9"))
+        want = is_cnd(d, mode="exact")
+        for dtype in (np.uint8, np.int16):
+            assert outcome(is_cnd(d.astype(dtype), mode="exact")) == outcome(want)
+
+    def test_large_blocks_take_the_int64_path(self, monkeypatch):
+        calls = []
+        real = spectra._bareiss_certificate
+        monkeypatch.setattr(spectra, "_bareiss_certificate", lambda *a: calls.append(a) or real(*a))
+        assert is_cnd(distance_matrix(make_cycle(41)), mode="exact").is_cnd
+        assert is_psd(np.eye(40, dtype=np.int64) + 1, mode="exact").is_psd
+        assert calls == []
+
+    def test_caller_arrays_are_not_written(self):
+        d = distance_matrix(make_cycle(41))
+        two_k = winkler_kernel(graph_from_uri("theta:2,3,30")).two_k
+        for m, decide in ((d, is_cnd), (two_k, is_psd), (np.eye(40, dtype=np.int64) + 1, is_psd)):
+            before = m.copy()
+            decide(m, mode="exact")
+            assert np.array_equal(m, before)
 
 
 class TestCnd:
