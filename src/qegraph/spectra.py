@@ -2,17 +2,20 @@
 
 The float route uses LAPACK's symmetric eigensolver through numpy.  The exact
 route scales a rational matrix to integers, splits the index set into the
-irreducible blocks of the nonzero pattern, and runs one iterative
-fraction-free (Bareiss) symmetric elimination with diagonal pivoting on
-each block: on an int64 array for a block of _NUMPY_MIN_DIM rows or more
-while its entries stay below 2**31 in magnitude, over Python ints on the
-lower triangle past that bound and for smaller blocks.  That decides
-positive semidefiniteness without any tolerance and produces an explicit
-negativity certificate when the answer is no: a failing block's
-certificate padded with zeros.  Exact conditional negative definiteness
-reduces the distance matrix over differences e_i - e_r at a central vertex
-r, which keeps the entries small and, on trees, splits the reduction into
-one block per branch.
+irreducible blocks of the nonzero pattern, decides a 1 x 1 block by the sign
+of its entry, and runs one iterative fraction-free (Bareiss) symmetric
+elimination with diagonal pivoting on each larger block: on an int64 array
+for a block of _NUMPY_MIN_DIM rows or more while its entries stay below
+2**31 in magnitude (a running bound on them is rescanned only when it
+reaches 2**31), over Python ints on the lower triangle past that bound and
+for smaller blocks.  That decides positive semidefiniteness without any
+tolerance and produces an explicit negativity certificate when the answer
+is no: a failing block's certificate padded with zeros.  Exact conditional
+negative definiteness reduces the distance matrix over differences
+e_i - e_a(i), where a(i) is the cut vertex through which the biconnected
+block of i hangs toward a central vertex r, so the reduction splits into
+one irreducible block per biconnected block of the graph, and a bridge
+into a 1 x 1 block.
 """
 
 from __future__ import annotations
@@ -65,13 +68,26 @@ def _square_rows(m) -> list[list]:
     return rows
 
 
+def _not_real(values) -> SpectraError:
+    # a complex entry is named as such; anything else that fails to convert
+    # is not a finite number
+    if any(isinstance(x, (complex, np.complexfloating)) for x in values):
+        return SpectraError("matrix entries must be real")
+    return SpectraError("matrix entries must be finite")
+
+
 def _as_float_sym(m) -> np.ndarray:
     # an empty row list is the 0 x 0 matrix, as it is to the exact route
     rows = m if isinstance(m, np.ndarray) else (_square_rows(m) or np.zeros((0, 0)))
+    a = np.asarray(rows)
+    # numpy casts complex to float by dropping the imaginary part, with
+    # only a warning, so a complex array never reaches the cast
+    if a.dtype.kind == "c":
+        raise SpectraError("matrix entries must be real")
     try:
-        a = np.asarray(rows, dtype=float)
+        a = a.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
-        raise SpectraError("matrix entries must be finite") from None
+        raise _not_real(a.flat) from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SpectraError(f"matrix must be square, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
@@ -105,7 +121,7 @@ def _as_integer_sym(m) -> tuple[np.ndarray, int]:
     try:
         exact = {x: Fraction(x) for x in {x for row in rows for x in row}}
     except (TypeError, ValueError, OverflowError):
-        raise SpectraError("matrix entries must be finite") from None
+        raise _not_real(x for row in rows for x in row) from None
     scale = reduce(math.lcm, (f.denominator for f in exact.values()), 1)
     scaled = {x: f.numerator * (scale // f.denominator) for x, f in exact.items()}
     rows = [[scaled[x] for x in row] for row in rows]
@@ -270,15 +286,21 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
     is left, the zero-pivot rules run on the live block in order.  Once an
     entry reaches 2**31 in magnitude (where p * a - c * c could leave
     int64), the live block goes on, in order, to the list loop instead.
-    Either certificate is lifted back through the pivots here as the list
-    loop lifts through its own."""
+    That test reads a running bound, max|a| <= bound: a step with pivot p
+    after prev makes entries of magnitude at most (p * bound + bound**2) /
+    prev, so the block is rescanned only when the bound reaches 2**31, and
+    the handoff comes at the step where a scan before every step would
+    make it.  Either certificate is lifted back through the pivots here as
+    the list loop lifts through its own."""
     pivots = []  # (index, pivot, pivot row as Python ints)
     prev = 1
+    bound = _INT64_SAFE  # scan before the first step
     while True:
-        in_range = a.max() < _INT64_SAFE and -_INT64_SAFE < a.min()
+        if bound >= _INT64_SAFE:
+            bound = max(int(a.max()), -int(a.min()))
         k = int(a.diagonal().argmax())
         p = int(a[k, k])
-        if not in_range or p <= 0:
+        if bound >= _INT64_SAFE or p <= 0:
             break
         c = a[k]
         cc = np.multiply.outer(c, c)
@@ -287,11 +309,12 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
         a -= cc
         if prev != 1:
             a //= prev
+        bound = (p * bound + bound * bound) // prev + 1
         prev = p
     done = {k for k, _, _ in pivots}
     support = [i for i in range(len(a)) if i not in done]
     low = _lower(_principal(a, support))
-    v = _zero_pivot_certificate(low) if in_range else _bareiss_certificate(low, prev)
+    v = _zero_pivot_certificate(low) if bound < _INT64_SAFE else _bareiss_certificate(low, prev)
     if v is None:
         return None
     # v lives on support, the indices still live after pivot k: the entries
@@ -317,7 +340,9 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     pattern.  A symmetric matrix that permutes to block-diagonal form is PSD
     iff every block is, and <v, Av> = <v_B, A_BB v_B> for a v supported on
     one block B, so a failing block's certificate, padded with zeros at the
-    other indices, is a certificate for the whole matrix.
+    other indices, is a certificate for the whole matrix.  A 1 x 1 block
+    {i} is decided by the sign of a_ii, with certificate e_i when it is
+    negative; a tree's 2K and its Schoenberg reduction are all such blocks.
 
     Each block is decided by fraction-free (Bareiss) symmetric elimination
     with diagonal pivoting: each step pivots on the first largest live
@@ -331,11 +356,20 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
 
     A block of at least _NUMPY_MIN_DIM rows with int64 entries is
     eliminated as one int64 array while its entries stay below 2**31 in
-    magnitude and goes on over Python ints past that; a smaller block, or
-    one with larger entries, runs over Python ints on its lower triangle
-    throughout.  Both give the same pivots and the same certificate.
+    magnitude (checked against a running bound, rescanned only when the
+    bound reaches 2**31) and goes on over Python ints past that; a smaller
+    block, or one with larger entries, runs over Python ints on its lower
+    triangle throughout.  Both give the same pivots and the same
+    certificate.
     """
     for block in _irreducible_blocks(a):
+        if len(block) == 1:
+            i = block[0]
+            if a[i, i] < 0:
+                v = [0] * len(a)
+                v[i] = 1
+                return v
+            continue
         sub = _principal(a, block)
         if len(block) >= _NUMPY_MIN_DIM and sub.dtype == np.int64:
             cert = _bareiss_int64(sub)
@@ -415,9 +449,10 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     return verdict
 
 
-def _check_distance_matrix(d) -> np.ndarray:
-    a = _as_float_sym(d)
-    if a.size and (np.diag(a) != 0).any():
+def _check_distance_matrix(a: np.ndarray) -> np.ndarray:
+    """a itself, once its diagonal is zero and no entry is negative; a is a
+    float or an integer array (int64 or Python ints)."""
+    if a.size and a.diagonal().any():
         raise SpectraError("distance matrix must have a zero diagonal")
     if a.size and (a < 0).any():
         raise SpectraError("distance matrix entries must be non-negative")
@@ -470,27 +505,96 @@ class CndVerdict:
     certificate_value: object | None = None
 
 
-def _is_cnd_exact(d) -> CndVerdict:
-    """Exact Schoenberg decision: PSD of -U^T D U over the integer basis
-    u_i = e_i - e_r (i != r) of the complement of the all-ones vector, that
-    is R_ij = d(i, r) + d(j, r) - d(i, j), lifted as f = U v, which puts
-    -sum(v) at r.  The reference r is the first vertex of minimum
-    eccentricity: a central r keeps the entries of R small, and R_ij = 0
-    whenever r lies on a geodesic from i to j, so on a tree R splits into
-    one irreducible block per branch at r.
+def _block_anchors(a: np.ndarray, r: int) -> list[int] | None:
+    """Over the graph whose edges are the 1-entries of a: for each vertex i,
+    the vertex a(i) through which the biconnected block of i nearest to r
+    hangs toward r, that is r for r and inside r's blocks, and the cut
+    vertex heading i's block otherwise; None when the graph does not reach
+    every vertex from r.  When every degree is 2 the pass is skipped and
+    a(i) = r throughout: a cycle is one block, and for a union of cycles
+    that is the caller's fallback anyway.
+
+    One Hopcroft-Tarjan depth-first pass from r on an explicit stack, with
+    no recursion: when the search returns from u to its parent h with
+    low(u) >= order(h), the vertices found since u, which are still open,
+    form with h a block headed by h."""
+    n = len(a)
+    flat = np.flatnonzero(a == 1)
+    ends = np.searchsorted(flat, np.arange(0, n * n + 1, n)).tolist()
+    if ends == list(range(0, 2 * n + 1, 2)):
+        return [r] * n
+    cols = (flat % n).tolist()  # the neighbours of u are cols[ends[u] : ends[u + 1]]
+    order = [0] * n  # discovery number, from 1; 0 while unseen
+    low = [0] * n
+    anchor = [r] * n
+    found = []  # discovered vertices whose block is still open
+    order[r] = low[r] = count = 1
+    path = [(r, iter(cols[ends[r] : ends[r + 1]]))]
+    while path:
+        u, adjacent = path[-1]
+        for w in adjacent:
+            if not order[w]:
+                count += 1
+                order[w] = low[w] = count
+                found.append(w)
+                path.append((w, iter(cols[ends[w] : ends[w + 1]])))
+                break
+            if order[w] < low[u]:
+                low[u] = order[w]
+        else:
+            path.pop()
+            if path:
+                h = path[-1][0]
+                if low[u] >= order[h]:
+                    x = -1
+                    while x != u:
+                        x = found.pop()
+                        anchor[x] = h
+                elif low[u] < low[h]:
+                    low[h] = low[u]
+    return anchor if count == n else None
+
+
+def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
+    """Exact Schoenberg decision on the checked integer distance matrix a
+    (scale times the caller's): PSD of R = -U^T D U over the integer basis
+    u_i = e_i - e_a(i) (i != r) of the complement of the all-ones vector,
+    lifted as f = U v = sum v_i (e_i - e_a(i)).
+
+    The reference r is the first vertex of minimum eccentricity, and a(i)
+    comes from _block_anchors: the vertex through which the biconnected
+    block of i hangs toward r.  The a(i) form a tree rooted at r, so the
+    u_i are a basis of the complement whatever the matrix; where the
+    1-entries do not reach every vertex from r, and for entries past
+    int64, a(i) = r throughout (the star at r).  Then
+    R_ij = d(i, a_j) + d(a_i, j) - d(i, j) - d(a_i, a_j).  For a graph
+    metric R_ij = 0 when i and j lie in different blocks, since a cut
+    vertex splits every distance across it into a sum; so R splits into
+    the Schoenberg reduction of each block at its anchor, a bridge gives a
+    1 x 1 entry of 2, and a certificate lives on one block and its anchor.
+    When every anchor is r (a 2-connected graph, among others) R is the
+    star reduction R_ij = d(i, r) + d(j, r) - d(i, j).
     """
-    a, scale = _as_integer_sym(d)
     n = len(a)
     if n < 2:
         return CndVerdict(is_cnd=True, mode_used="exact")
     r = int(a.max(axis=1).argmin())
-    others = np.delete(np.arange(n), r)
-    dr = a[r, others]
-    reduced = dr[:, None] + dr[None, :] - _principal(a, others)
+    others = np.arange(1, n)
+    others[:r] -= 1  # every index but r, in order
+    anchor = (_block_anchors(a, r) if a.dtype == np.int64 else None) or [r] * n
+    up = np.array(anchor).take(others)
+    rows = a.take(others, 0)
+    da = rows.take(up, 1)
+    reduced = da + da.T
+    reduced -= rows.take(others, 1)
+    reduced -= _principal(a, up)
     v = _integer_psd_certificate(reduced)
     if v is None:
         return CndVerdict(is_cnd=True, mode_used="exact")
-    f = v[:r] + [-sum(v)] + v[r:]
+    f = [0] * n
+    for i, x in zip(others.tolist(), v):
+        f[i] += x
+        f[anchor[i]] -= x
     value = _quad_form(a, f)
     if value <= 0:
         raise SpectraError("internal error: exact certificate failed re-validation")
@@ -507,14 +611,18 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     <f, Df> <= 0 for every f orthogonal to the all-ones vector.
 
     Decided as positive semidefiniteness of -D compressed to that
-    complement (in exact mode over the integer basis e_i - e_r, r a central
-    vertex); modes behave as in is_psd.  The float and auto modes also
-    report the largest eigenvalue on the complement and a unit maximizer.
+    complement (in exact mode over the integer basis e_i - e_a(i), a(i) the
+    cut vertex through which the block of i hangs toward a central vertex,
+    so that the decision splits by biconnected block); modes behave as in
+    is_psd.  The float and auto modes also report the largest eigenvalue on
+    the complement and a unit maximizer.
     """
     validate_mode(mode)
-    a = _check_distance_matrix(d)
     if mode == "exact":
-        return _is_cnd_exact(d)
+        # the checks run on the integers: they need no float64 range
+        a, scale = _as_integer_sym(d)
+        return _is_cnd_exact(_check_distance_matrix(a), scale)
+    a = _check_distance_matrix(_as_float_sym(d))
     if a.shape[0] < 2:
         return CndVerdict(is_cnd=True, mode_used="float")
     r, w = reduce_ones_complement(a)
@@ -524,7 +632,8 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     f = x - float(w @ x) * w
     maximizer = tuple(f.tolist())
     if mode == "auto" and abs(verdict.lambda_min) < _AUTO_ESCALATION * bound:
-        return replace(_is_cnd_exact(d), max_eig=max_eig, maximizer=maximizer)
+        exact = _is_cnd_exact(*_as_integer_sym(d))  # the same entries, checked above
+        return replace(exact, max_eig=max_eig, maximizer=maximizer)
     if verdict.is_psd:
         return CndVerdict(is_cnd=True, mode_used="float", max_eig=max_eig, maximizer=maximizer)
     value = float(f @ a @ f)

@@ -356,14 +356,17 @@ class TestVertexGluing:
         # a bridge e is a 1 x 1 block of 2K (K(e, e') = 0 for every other
         # tree edge e'), so the exact Winkler certificate, taken from a
         # failing block, is zero on it; the exact Schoenberg reduction is
-        # taken at a central vertex, which here is not the last one
+        # anchored at a central vertex, which here lies on the path, so the
+        # theta hangs from its glued vertex 0 and the certificate lives on
+        # the theta's 13 vertices alone
         g = glue(make_theta(ThetaSpec(2, 3, 9)), make_path(88))
         d = floyd_warshall(g)
         center = int(np.argmin(d.max(axis=1)))
-        assert center != g.n - 1
+        assert center >= 13
         s = classify_schoenberg(g, mode="exact")
         f = [Fraction(x) for x in s.evidence["certificate"]]
         assert not s.is_qe and sum(f) == 0 and quadratic_form(d.tolist(), f) > 0
+        assert not any(f[13:])
 
         def is_bridge(edge):
             rest = [e for e in g.edges if e != edge]

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import pkgutil
+import random
 import re
 import shutil
 import subprocess
@@ -437,8 +438,16 @@ def test_public_names_and_benchmark_trace_targets_resolve(bench_import):
 
 def test_benchmark_operations_run(bench_import):
     # a changed call form the benchmark relies on fails here rather than
-    # first in the benchmark run; each operation checks its own verdicts
+    # first in the benchmark run; each operation checks its own verdicts.
+    # Items are taken, ten at least, until every kind of graph a round of
+    # the workload deals has been through its operation
     workloads = bench_import("workloads")
     for name in workloads.WORKLOADS:
-        for item in itertools.islice(workloads.stream(name, 1), 10):
+        kinds = {item.kind for item in workloads._round(name, 0, random.Random(0))}
+        seen = set()
+        for count, item in enumerate(itertools.islice(workloads.stream(name, 1), 200), 1):
             workloads.OPERATIONS[name](item)
+            seen.add(item.kind)
+            if count >= 10 and seen == kinds:
+                break
+        assert seen == kinds, name

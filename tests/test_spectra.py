@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qegraph import (
+    Graph,
     ThetaSpec,
     Tolerances,
+    classify_theta_closed_form,
+    classify_winkler,
     distance_matrix,
     eigen_sym,
     fixtures,
@@ -30,7 +33,7 @@ from qegraph.spectra import (
 )
 from qegraph.cli import format_matrix_text
 
-from conftest import random_connected_graph
+from conftest import floyd_warshall, is_connected, is_isometric, random_connected_graph
 
 
 def random_symmetric(rng: np.random.Generator, n: int, integer: bool = False):
@@ -224,6 +227,23 @@ class TestIsPsd:
             for mode in ("float", "exact", "auto"):
                 with pytest.raises(SpectraError, match="must be finite"):
                     is_psd(m, mode=mode)
+
+    def test_complex_entries_are_spectra_error(self):
+        # as a Hermitian matrix [[1, 2i], [-2i, 1]] has eigenvalues 3 and -1;
+        # dropping the imaginary parts would decide the identity instead
+        for m in (
+            np.array([[1, 2j], [-2j, 1]]),
+            [[1, 2j], [-2j, 1]],
+            [[np.complex64(1), 0], [0, 1]],
+            np.array([[Fraction(1), 2j], [-2j, 1]], dtype=object),
+        ):
+            for mode in ("float", "exact", "auto"):
+                with pytest.raises(SpectraError, match="must be real"):
+                    is_psd(m, mode=mode)
+                with pytest.raises(SpectraError, match="must be real"):
+                    is_cnd(m, mode=mode)
+            with pytest.raises(SpectraError, match="must be real"):
+                eigen_sym(m)
 
     def test_ragged_rows_are_spectra_error(self):
         for mode in ("float", "exact", "auto"):
@@ -455,6 +475,71 @@ class TestInt64Elimination:
                 assert int_form(a, verdict.certificate) == verdict.certificate_value < 0
             assert outcome(verdict) == outcome(on_list_loop(lambda m: is_psd(m, mode="exact"), a))
 
+    def test_running_bound_past_two_to_the_31_stays_on_int64(self, monkeypatch):
+        # on J + I every live entry stays at most n + 1: step k pivots on
+        # k + 1 and leaves k + 2 on the live diagonal and 1 off it.  The
+        # running bound, (p * bound + bound**2) // prev + 1 from bound 2,
+        # passes 2**31 within a few steps, so the block is rescanned, found
+        # small, and eliminated to the end as int64 with no handoff
+        n = 40
+        bound, crossed = 2, None
+        for k in range(1, n + 1):
+            bound = ((k + 1) * bound + bound * bound) // k + 1
+            if bound >= 2**31:
+                crossed = k
+                break
+        assert crossed is not None and crossed < n - 1
+        calls = []
+        real = spectra._bareiss_certificate
+        monkeypatch.setattr(spectra, "_bareiss_certificate", lambda *a: calls.append(a) or real(*a))
+        a = np.eye(n, dtype=np.int64) + 1
+        assert is_psd(a, mode="exact").is_psd
+        a[n - 1, n - 1] = -1  # the minor on 0 and n - 1 is -3: not PSD
+        verdict = is_psd(a, mode="exact")
+        assert not verdict.is_psd
+        assert int_form(a, verdict.certificate) == verdict.certificate_value < 0
+        assert calls == []
+        assert outcome(verdict) == outcome(on_list_loop(lambda m: is_psd(m, mode="exact"), a))
+
+    def test_overflow_hands_off_where_a_full_scan_would(self, monkeypatch):
+        # the reference scans the whole live block, exactly over Python
+        # ints, before every step; the int64 loop must hand the list loop
+        # the same live block after the same pivots
+        def full_scan_handoff(m):
+            a = np.array(m.tolist(), dtype=object)
+            prev, steps = 1, 0
+            while max(abs(x) for x in a.flat) < 2**31:
+                k = int(np.argmax(a.diagonal()))
+                p = a[k, k]
+                if p <= 0:
+                    return None
+                a = (p * a - np.multiply.outer(a[k], a[k])) // prev
+                prev, steps = p, steps + 1
+            return steps, prev
+
+        handoffs = []
+        real = spectra._bareiss_certificate
+
+        def spy(low, prev=1):
+            handoffs.append((len(low), prev))
+            return real(low, prev)
+
+        monkeypatch.setattr(spectra, "_bareiss_certificate", spy)
+        rng = np.random.default_rng(2031)
+        seen_steps = set()
+        for scale in (1, 2, 2**3, 2**9):
+            b = rng.integers(-scale, scale + 1, size=(30, 36))
+            b[:, 5] = b[:, 2]
+            for shift in (0, 1):
+                a = b.T @ b - shift * np.eye(36, dtype=np.int64)
+                steps, prev = full_scan_handoff(a)
+                seen_steps.add(steps)
+                handoffs.clear()
+                verdict = is_psd(a, mode="exact")
+                assert handoffs == [(36 - steps, prev)], (scale, shift)
+                assert verdict.is_psd == (shift == 0)
+        assert len(seen_steps) > 2  # hand-offs early and late in the elimination
+
     def test_entries_past_int64_stay_python_ints(self):
         # uint64 2**63 + 1 wraps negative in int64
         n = 20
@@ -520,6 +605,42 @@ class TestInt64Elimination:
             assert np.array_equal(m, before)
 
 
+class TestSingletonBlocks:
+    """A 1 x 1 irreducible block is decided by the sign of its entry."""
+
+    @pytest.fixture
+    def no_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("elimination called")
+
+        for name in ("_bareiss_certificate", "_bareiss_int64", "_lower"):
+            monkeypatch.setattr(spectra, name, refuse)
+
+    def test_diagonal_with_one_negative_entry_gives_e_i(self, no_elimination):
+        for n in (5, 30):
+            diag = [3, 1, 0] + [2] * (n - 3)
+            diag[n - 2] = -2
+            thirds = [[Fraction(x, 3) if i == j else 0 for j in range(n)] for i, x in enumerate(diag)]
+            for m, value in ((np.diag(diag), -2), (thirds, Fraction(-2, 3))):
+                verdict = is_psd(m, mode="exact")
+                assert not verdict.is_psd
+                assert verdict.certificate == tuple(Fraction(int(i == n - 2)) for i in range(n))
+                assert verdict.certificate_value == value
+            diag[n - 2] = 0
+            assert is_psd(np.diag(diag), mode="exact").is_psd
+
+    def test_trees_are_decided_with_no_elimination(self, no_elimination):
+        # 2K of a tree is diagonal, and so is its anchored Schoenberg
+        # reduction: every block of a tree is a bridge
+        rng = random.Random(17)
+        star = Graph(25, tuple((0, v) for v in range(1, 25)))
+        tree = Graph(33, tuple((rng.randrange(v), v) for v in range(1, 33)))
+        for g in (make_path(40), star, tree):
+            assert classify_winkler(g, mode="exact").is_qe
+            assert is_psd(winkler_kernel(g).two_k, mode="exact").is_psd
+            assert is_cnd(distance_matrix(g), mode="exact").is_cnd
+
+
 class TestCnd:
     def test_matches_reduced_eigenvalue_sign_on_corpus(self, corpus):
         # the oracle makes no eigensolver call: the maximizer is a feasible
@@ -566,6 +687,163 @@ class TestCnd:
             is_cnd(np.array([[1.0, 0.0], [0.0, 1.0]]))  # nonzero diagonal
         with pytest.raises(SpectraError):
             is_cnd(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative distance
+
+    def test_exact_mode_takes_integers_past_float_range(self):
+        # exact is_cnd checks the distance matrix on its integers, as is_psd
+        # decides such input; only the float modes need float64 entries
+        big = 2**1100
+        assert is_cnd([[0, big], [big, 0]], mode="exact").is_cnd
+        with pytest.raises(SpectraError, match="must be finite"):
+            is_cnd([[0, big], [big, 0]], mode="float")
+        with pytest.raises(SpectraError, match="zero diagonal"):
+            is_cnd([[big, 0], [0, 0]], mode="exact")
+        with pytest.raises(SpectraError, match="non-negative"):
+            is_cnd([[0, -big], [-big, 0]], mode="exact")
+        d = distance_matrix(make_theta(ThetaSpec(2, 3, 9)))
+        verdict = is_cnd([[int(x) * big for x in row] for row in d.tolist()], mode="exact")
+        assert not verdict.is_cnd and sum(verdict.certificate) == 0
+        assert verdict.certificate_value == int_form(d, verdict.certificate) * big > 0
+
+
+def glued_parts(rng: random.Random, kinds) -> tuple[Graph, list[tuple[Graph, list[int], bool]]]:
+    """One small graph per kind, each glued at a random vertex of it to a
+    random vertex of those before it, under a random relabelling.  Returns
+    the glued graph and, per part, the graph, its vertex map and whether
+    it is of QE class (the closed form for thetas; cycles, paths and stars
+    are)."""
+    parts = []
+    for kind in kinds:
+        if kind == "cycle":
+            parts.append((make_cycle(rng.randint(3, 30)), True))
+        elif kind == "theta":
+            spec = ThetaSpec(rng.randint(1, 3), rng.randint(2, 8), rng.randint(2, 20))
+            parts.append((make_theta(spec), classify_theta_closed_form(spec).is_qe))
+        elif kind == "path":
+            parts.append((make_path(rng.randint(2, 30)), True))
+        else:
+            m = rng.randint(3, 20)
+            parts.append((Graph(m, tuple((0, v) for v in range(1, m))), True))
+    n, edges, placed = 0, [], []
+    for h, qe in parts:
+        phi = list(range(h.n))
+        if placed:
+            glue = rng.randrange(h.n)
+            phi = [n + v - (v > glue) for v in phi]
+            phi[glue] = rng.randrange(n)
+        n += h.n - bool(placed)
+        edges += [(phi[u], phi[v]) for u, v in h.edges]
+        placed.append((h, phi, qe))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    glued = Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
+    return glued, [(h, [perm[x] for x in phi], qe) for h, phi, qe in placed]
+
+
+def star_reduction(d: np.ndarray, r: int) -> np.ndarray:
+    """R_ij = d(i, r) + d(j, r) - d(i, j) over i, j != r."""
+    others = [i for i in range(len(d)) if i != r]
+    dr = d[r, others]
+    return dr[:, None] + dr[None, :] - d[np.ix_(others, others)]
+
+
+class TestBlockAnchoredReduction:
+    """Exact Schoenberg reduces over e_i - e_a(i), a(i) the cut vertex
+    through which the block of i hangs toward a central vertex."""
+
+    @given(
+        st.lists(st.sampled_from(("cycle", "theta", "path", "star")), min_size=2, max_size=4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_glued_graph_is_qe_iff_every_part_is(self, kinds, seed):
+        # gluing at a vertex keeps each part isometric and keeps QE class
+        # (the star product of Obata and Zakiyyah, Electron. J. Graph
+        # Theory Appl. 6 (2018) 37-60), so the verdict is the AND of the
+        # parts'; a certificate comes from one failing part, a theta, which
+        # is one block and contains its own anchor
+        g, parts = glued_parts(random.Random(seed), kinds)
+        d = floyd_warshall(g)
+        for h, phi, _ in parts:
+            assert is_isometric(h, g, phi)
+        verdict = is_cnd(distance_matrix(g), mode="exact")
+        assert verdict.is_cnd == all(qe for _, _, qe in parts)
+        if not verdict.is_cnd:
+            f = verdict.certificate
+            assert sum(f) == 0 and int_form(d, f) == verdict.certificate_value > 0
+            support = {i for i, x in enumerate(f) if x}
+            assert any(support <= set(phi) for _, phi, qe in parts if not qe)
+
+    @given(st.integers(min_value=2, max_value=6), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_non_metric_matrix_matches_principal_minor_oracle(self, n, seed):
+        # 1-entries on a random spanning tree reach every vertex, so the
+        # reduction is anchored; other entries are arbitrary non-negative
+        # integers, so no graph metric stands behind them
+        rng = np.random.default_rng(seed)
+        d = rng.integers(0, 6, size=(n, n))
+        d = np.triu(d, 1)
+        for v in range(1, n):
+            d[int(rng.integers(0, v)), v] = 1
+        d = d + d.T
+        r = int(d.max(axis=1).argmin())
+        assert spectra._block_anchors(d, r) is not None
+        reduced = [[Fraction(int(x)) for x in row] for row in star_reduction(d, 0)]
+        expect = all_principal_minors_nonnegative(reduced)
+        verdict = is_cnd(d, mode="exact")
+        assert verdict.is_cnd == expect
+        if not expect:
+            f = verdict.certificate
+            assert sum(f) == 0 and int_form(d, f) == verdict.certificate_value > 0
+
+    def test_one_entries_of_degree_two_take_the_star(self):
+        # two 4-cycles of 1-entries: every degree is 2 but they do not
+        # reach every vertex, so the reduction is the star at r; an
+        # antipodal entry of 3 is no graph metric and is not CND
+        decided = set()
+        for antipodal, fill in ((2, 2), (2, 5), (3, 2), (3, 5)):
+            d = np.full((8, 8), fill)
+            for b in (0, 4):
+                for i in range(4):
+                    d[b + i, b + (i + 1) % 4] = d[b + (i + 1) % 4, b + i] = 1
+                    d[b + i, b + (i + 2) % 4] = antipodal
+            np.fill_diagonal(d, 0)
+            r = int(d.max(axis=1).argmin())
+            assert spectra._block_anchors(d, r) == [r] * 8
+            reduced = [[Fraction(int(x)) for x in row] for row in star_reduction(d, r)]
+            verdict = is_cnd(d, mode="exact")
+            assert verdict.is_cnd == all_principal_minors_nonnegative(reduced)
+            decided.add(verdict.is_cnd)
+            if not verdict.is_cnd:
+                f = verdict.certificate
+                assert sum(f) == 0 and int_form(d, f) == verdict.certificate_value > 0
+        assert decided == {True, False}
+
+    def test_two_connected_graphs_keep_the_star_reduction(self):
+        def without(g, c):
+            kept = [(u - (u > c), v - (v > c)) for u, v in g.edges if c not in (u, v)]
+            return Graph(g.n - 1, tuple(kept))
+
+        uris = ("cycle:9", "cycle:41", "theta:2,3,9", "theta:2,2,2", "theta:3,4,5", "theta:1,20,25")
+        graphs = [graph_from_uri(uri) for uri in uris]
+        rng = random.Random(2)
+        while len(graphs) < 14:
+            g = random_connected_graph(rng, rng.randint(6, 18), p=0.35)
+            if all(is_connected(without(g, c)) for c in range(g.n)):
+                graphs.append(g)
+        decided = set()
+        for g in graphs:
+            d = floyd_warshall(g)
+            r = int(d.max(axis=1).argmin())
+            assert spectra._block_anchors(d, r) == [r] * g.n
+            want = is_psd(star_reduction(d, r), mode="exact")
+            got = is_cnd(d, mode="exact")
+            assert got.is_cnd == want.is_psd
+            decided.add(got.is_cnd)
+            if not want.is_psd:
+                f = list(want.certificate)
+                f.insert(r, -sum(f))
+                assert list(got.certificate) == f
+        assert decided == {True, False}
 
 
 class TestTolerances:
