@@ -76,14 +76,10 @@ class QeVerdict:
 
 
 def _jsonable(x):
-    """Scalar coerced to a JSON-safe value; exact rationals become 'p/q'."""
-    if x is None:
-        return None
+    """None, a float, or an exact rational as 'p/q'."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(x)
+    return None if x is None else float(x)
 
 
 def _half(x):
@@ -142,7 +138,7 @@ def classify_schoenberg(
     verdict = _schoenberg(g, mode, tol)
     evidence: dict = {"max_eig_on_ones_complement": _jsonable(verdict.max_eig)}
     if verdict.certificate is not None:
-        evidence["certificate"] = [_jsonable(c) for c in verdict.certificate]
+        evidence["certificate"] = list(verdict.certificate)
         evidence["certificate_value"] = _jsonable(verdict.certificate_value)
     return QeVerdict(
         method="schoenberg",
@@ -184,7 +180,7 @@ def classify_winkler(
         "lambda_max": _jsonable(_half(verdict.lambda_max)),
     }
     if verdict.certificate is not None:
-        evidence["certificate"] = [_jsonable(c) for c in verdict.certificate]
+        evidence["certificate"] = list(verdict.certificate)
         evidence["certificate_value"] = _jsonable(verdict.certificate_value / 2)
     return QeVerdict(
         method="winkler",

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = embeddable (or command succeeded), 1 = not embeddable (or a
-reference check failed), 2 = usage or input error, 3 = decision routes
-disagree (``classify --method all`` and ``sweep``).
+reference check failed), 2 = usage, input or out-of-memory error, 3 = decision
+routes disagree (``classify --method all`` and ``sweep``).
 """
 
 from __future__ import annotations
@@ -387,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return EXIT_ERROR
 
 

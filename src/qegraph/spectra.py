@@ -167,9 +167,9 @@ def eigen_sym(m) -> SpectrumResult:
 class PsdVerdict:
     """Outcome of a positive-semidefiniteness test.
 
-    ``certificate`` is only present for a negative verdict: a vector v with
-    <v, Mv> < 0, re-validated before being returned (``certificate_value``
-    holds that quadratic form, a float or an exact Fraction).
+    ``certificate`` is only present for a negative verdict: a vector v of
+    Python ints (exact) or floats with <v, Mv> < 0, re-validated before being
+    returned; ``certificate_value`` is that form, an exact Fraction or a float.
     """
 
     is_psd: bool
@@ -394,7 +394,7 @@ def _is_psd_exact(m) -> PsdVerdict:
     return PsdVerdict(
         is_psd=False,
         mode_used="exact",
-        certificate=tuple([Fraction(x) for x in cert]),
+        certificate=tuple(cert),
         certificate_value=Fraction(value, scale),
     )
 
@@ -492,9 +492,9 @@ class CndVerdict:
     and ``maximizer`` a unit vector f with sum(f) = 0 that attains it as
     <f, Df>; both come from the float eigensolve, so they are None in exact
     mode and for a single vertex.  For a negative verdict, ``certificate`` is
-    a vector f with sum(f) = 0 and <f, Df> > 0 (the validated form in
-    ``certificate_value``); a negative float verdict's certificate is the
-    maximizer itself.
+    a vector f with sum(f) = 0 and <f, Df> > 0, of Python ints in exact mode
+    (the validated form in ``certificate_value``, a Fraction); a negative
+    float verdict's certificate is the maximizer itself, of floats.
     """
 
     is_cnd: bool
@@ -564,9 +564,9 @@ def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
     The reference r is the first vertex of minimum eccentricity, and a(i)
     comes from _block_anchors: the vertex through which the biconnected
     block of i hangs toward r.  The a(i) form a tree rooted at r, so the
-    u_i are a basis of the complement whatever the matrix; where the
-    1-entries do not reach every vertex from r, and for entries past
-    int64, a(i) = r throughout (the star at r).  Then
+    u_i are a basis of the complement whatever the matrix and whatever its
+    integer dtype; where the 1-entries do not reach every vertex from r,
+    a(i) = r throughout (the star at r).  Then
     R_ij = d(i, a_j) + d(a_i, j) - d(i, j) - d(a_i, a_j).  For a graph
     metric R_ij = 0 when i and j lie in different blocks, since a cut
     vertex splits every distance across it into a sum; so R splits into
@@ -581,7 +581,7 @@ def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
     r = int(a.max(axis=1).argmin())
     others = np.arange(1, n)
     others[:r] -= 1  # every index but r, in order
-    anchor = (_block_anchors(a, r) if a.dtype == np.int64 else None) or [r] * n
+    anchor = _block_anchors(a, r) or [r] * n
     up = np.array(anchor).take(others)
     rows = a.take(others, 0)
     da = rows.take(up, 1)
@@ -601,7 +601,7 @@ def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
     return CndVerdict(
         is_cnd=False,
         mode_used="exact",
-        certificate=tuple([Fraction(x) for x in f]),
+        certificate=tuple(f),
         certificate_value=Fraction(value, scale),
     )
 

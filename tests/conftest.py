@@ -36,6 +36,13 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     return d
 
 
+def int_form(m, v) -> int:
+    """<v, Mv> over Python ints, v an integer vector."""
+    rows = np.asarray(m, dtype=object).tolist()
+    v = [int(x) for x in v]
+    return sum(vi * rows[i][j] * vj for i, vi in enumerate(v) for j, vj in enumerate(v))
+
+
 def is_connected(g: Graph) -> bool:
     return bool((floyd_warshall(g) < INF).all())
 

@@ -150,7 +150,7 @@ class TestWinklerOnTwoK:
                 if ref.certificate is None:
                     assert "certificate" not in ev
                 elif got.mode_used == "exact":
-                    assert ev["certificate"] == [str(c) for c in ref.certificate]
+                    assert ev["certificate"] == list(ref.certificate)
                     assert ev["certificate_value"] == str(ref.certificate_value)
                 else:
                     x = np.array(ev["certificate"])

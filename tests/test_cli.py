@@ -7,16 +7,25 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qegraph
-from qegraph import Graph, distance_matrix, make_cycle, winkler_kernel
+from qegraph import (
+    Graph,
+    QeVerdict,
+    cli,
+    default_orientation_and_tree,
+    distance_matrix,
+    make_cycle,
+    winkler_kernel,
+)
 from qegraph.cli import main
 
-from conftest import run_python
+from conftest import floyd_warshall, int_form, run_python
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +76,18 @@ class TestClassify:
         assert code == 2
         assert "not connected" in err
 
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch):
+        # a graph too large to build reports one error line, not a traceback
+        # that would exit 1, "not QE"
+        def exhausted(uri):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "graph_from_uri", exhausted)
+        code, out, err = run_cli(capsys, "classify", "theta:2,3,99999999999")
+        assert code == 2
+        assert out == ""
+        assert err == "error: out of memory; the input is too large\n"
+
     def test_loose_float_tolerance_disagrees_exit_3(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -82,28 +103,56 @@ class TestClassify:
         assert code == 3
         assert "decision: disagreement" in out
 
-    def test_json_round_trip_reproduces_decision(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "classify", "theta:2,3,9", "--format", "json"
-        )
-        assert code == 1
-        payload = json.loads(out)
-        assert payload["decision"] == "NonQE"
-        assert payload["agreement"] is True
-        g = Graph(payload["n"], tuple(tuple(e) for e in payload["edges"]))
-        d = distance_matrix(g)
-        kern = winkler_kernel(g).two_k
-        for verdict in payload["verdicts"]:
-            if verdict["method"] == "closed-form":
-                continue
-            cert = verdict["evidence"].get("certificate")
-            assert cert is not None
-            f = np.array([float(x) for x in cert])
-            if verdict["method"] == "schoenberg":
-                assert float(f @ d @ f) > 0.0
-                assert abs(f.sum()) <= 1e-8
-            else:
-                assert float(f @ kern @ f) < 0.0
+    def test_json_round_trip_reproduces_decision(self, capsys, bench_import):
+        # an exact certificate comes out as JSON integers and is re-checked
+        # over Python ints: against Floyd-Warshall distances, and against 2K
+        # rebuilt from them over the default tree; the benchmark's oracles
+        # accept the verdicts rebuilt from the JSON in either mode
+        oracles = bench_import("oracles")
+        for mode in ("auto", "exact"):
+            code, out, _ = run_cli(
+                capsys, "classify", "theta:2,3,9", "--format", "json", "--mode", mode
+            )
+            assert code == 1
+            payload = json.loads(out)
+            assert payload["decision"] == "NonQE"
+            assert payload["agreement"] is True
+            g = Graph(payload["n"], tuple(tuple(e) for e in payload["edges"]))
+            d = distance_matrix(g)
+            kern = winkler_kernel(g).two_k
+            exact_d = floyd_warshall(g).tolist()
+            edges = default_orientation_and_tree(g).tree_edges
+            exact_k = [
+                [exact_d[a][y] - exact_d[a][x] - exact_d[b][y] + exact_d[b][x] for x, y in edges]
+                for a, b in edges
+            ]
+            for verdict in payload["verdicts"]:
+                if verdict["method"] == "closed-form":
+                    continue
+                evidence = verdict["evidence"]
+                cert = evidence.get("certificate")
+                assert cert is not None
+                if verdict["mode_used"] == "exact":
+                    assert all(type(x) is int for x in cert)
+                    value = Fraction(evidence["certificate_value"])
+                    if verdict["method"] == "schoenberg":
+                        assert sum(cert) == 0
+                        assert int_form(exact_d, cert) == value > 0
+                    else:
+                        assert int_form(exact_k, cert) == 2 * value < 0
+                    continue
+                assert mode == "auto"
+                f = np.array([float(x) for x in cert])
+                if verdict["method"] == "schoenberg":
+                    assert float(f @ d @ f) > 0.0
+                    assert abs(f.sum()) <= 1e-8
+                else:
+                    assert float(f @ kern @ f) < 0.0
+            verdicts = [
+                QeVerdict(v["method"], v["is_qe"], v["evidence"], v["mode_used"])
+                for v in payload["verdicts"]
+            ]
+            assert not oracles.check_verdicts(g, oracles.distances(g.n, g.edges), verdicts, False)
 
     def test_json_qe_verdict(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "theta:2,3,3", "--format", "json")

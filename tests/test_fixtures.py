@@ -29,11 +29,14 @@ class TestReferenceTrees:
 
 class TestReferenceMatrices:
     def test_shapes_and_symmetry(self):
+        # each stored table is also the 2K computed over its reference tree
         for spec, dim in zip(fixtures.QE_THETA_SPECS, (6, 8, 10)):
             m = fixtures.reference_two_k(spec)
             assert m.shape == (dim, dim)
             assert (m == m.T).all()
             assert (np.diag(m) == 2).all()
+            g = make_theta(spec)
+            assert np.array_equal(winkler_kernel(g, fixtures.reference_tree(spec, g)).two_k, m)
 
     def test_spectra_descending_nonnegative_with_zero(self):
         for spec in fixtures.QE_THETA_SPECS:

@@ -33,7 +33,13 @@ from qegraph.spectra import (
 )
 from qegraph.cli import format_matrix_text
 
-from conftest import floyd_warshall, is_connected, is_isometric, random_connected_graph
+from conftest import (
+    floyd_warshall,
+    int_form,
+    is_connected,
+    is_isometric,
+    random_connected_graph,
+)
 
 
 def random_symmetric(rng: np.random.Generator, n: int, integer: bool = False):
@@ -420,15 +426,13 @@ def on_list_loop(decide, m):
 
 
 def outcome(verdict) -> tuple:
+    """Decision, certificate and its value; an exact certificate must be a
+    tuple of Python ints, not of numpy integers or Fractions."""
     decision = verdict.is_psd if hasattr(verdict, "is_psd") else verdict.is_cnd
+    if verdict.mode_used == "exact" and verdict.certificate is not None:
+        assert type(verdict.certificate) is tuple
+        assert all(type(x) is int for x in verdict.certificate)
     return decision, verdict.certificate, verdict.certificate_value
-
-
-def int_form(m, v) -> int:
-    """<v, Mv> over Python ints, v an integer vector."""
-    rows = np.asarray(m, dtype=object).tolist()
-    v = [int(x) for x in v]
-    return sum(vi * rows[i][j] * vj for i, vi in enumerate(v) for j, vj in enumerate(v))
 
 
 class TestInt64Elimination:
@@ -563,14 +567,14 @@ class TestInt64Elimination:
             verdict = is_psd(m, mode="exact")
             assert verdict.is_psd == (sign == 1)
             if sign < 0:
-                v = verdict.certificate
+                _, v, _ = outcome(verdict)
                 form = sum(vi * m[i][j] * vj for i, vi in enumerate(v) for j, vj in enumerate(v))
                 assert form == verdict.certificate_value < 0
         # big Python ints in a distance matrix: D * 2**40 has the verdicts of D
         for uri in ("cycle:41", "theta:2,3,9"):
             d = distance_matrix(graph_from_uri(uri))
             big = is_cnd([[int(x) << 40 for x in row] for row in d.tolist()], mode="exact")
-            assert big.is_cnd == is_cnd(d, mode="exact").is_cnd
+            assert outcome(big)[0] == is_cnd(d, mode="exact").is_cnd
             if not big.is_cnd:
                 assert sum(big.certificate) == 0
                 assert big.certificate_value == Fraction(int_form(d, big.certificate) << 40) > 0
@@ -624,7 +628,8 @@ class TestSingletonBlocks:
             for m, value in ((np.diag(diag), -2), (thirds, Fraction(-2, 3))):
                 verdict = is_psd(m, mode="exact")
                 assert not verdict.is_psd
-                assert verdict.certificate == tuple(Fraction(int(i == n - 2)) for i in range(n))
+                assert verdict.certificate == tuple(int(i == n - 2) for i in range(n))
+                assert all(type(x) is int for x in verdict.certificate)
                 assert verdict.certificate_value == value
             diag[n - 2] = 0
             assert is_psd(np.diag(diag), mode="exact").is_psd
@@ -817,6 +822,35 @@ class TestBlockAnchoredReduction:
                 f = verdict.certificate
                 assert sum(f) == 0 and int_form(d, f) == verdict.certificate_value > 0
         assert decided == {True, False}
+
+    def test_entries_past_int64_keep_the_block_anchors(self, monkeypatch):
+        # two triangles sharing vertex 2 and a pendant edge 4-5; the far pair
+        # 0, 5 set to 2**40 turns the checked matrix into an object array of
+        # Python ints, whose 1-entries give the int64 matrix's anchors
+        g = Graph(6, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5)))
+        d = floyd_warshall(g)
+        big = d.copy()
+        big[0, 5] = big[5, 0] = 2**40
+        checked = _as_integer_sym(big)[0]
+        assert checked.dtype == object
+        r = int(big.max(axis=1).argmin())
+        want = spectra._block_anchors(d, r)
+        assert want != [r] * g.n and spectra._block_anchors(checked, r) == want
+        real = spectra._block_anchors
+        seen = []
+
+        def spy(a, r):
+            seen.append(real(a, r))
+            return seen[-1]
+
+        monkeypatch.setattr(spectra, "_block_anchors", spy)
+        verdict = is_cnd(big, mode="exact")
+        assert seen == [want]
+        reduced = [[Fraction(int(x)) for x in row] for row in star_reduction(big, 0)]
+        expect = all_principal_minors_nonnegative(reduced)
+        assert not expect and verdict.is_cnd == expect
+        _, f, value = outcome(verdict)
+        assert sum(f) == 0 and int_form(big, f) == value > 0
 
     def test_two_connected_graphs_keep_the_star_reduction(self):
         def without(g, c):
