@@ -16,19 +16,8 @@ from fractions import Fraction
 
 from . import analysis
 from .config import DEFAULT_TOLERANCES, MODES, Tolerances
-from .graphs import (
-    GraphError,
-    graph_from_uri,
-    distance_matrix,
-    theta_spec_from_uri,
-)
-from .spectra import SpectraError
-from .winkler import (
-    EmbeddingError,
-    TreeError,
-    read_tree_file,
-    winkler_kernel,
-)
+from .graphs import GraphError, graph_from_uri, distance_matrix, theta_spec_from_uri
+from .winkler import read_tree_file, winkler_kernel
 
 __all__ = ["main"]
 
@@ -377,15 +366,9 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "tol_psd"):
             args.tol = Tolerances(psd_rel=args.tol_psd)
         return args.func(args)
-    except (
-        GraphError,
-        TreeError,
-        SpectraError,
-        EmbeddingError,
-        analysis.CheckError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # the package's own errors (GraphError, TreeError, SpectraError,
+    # EmbeddingError) are all ValueErrors
+    except (ValueError, analysis.CheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:

@@ -6,6 +6,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "MODES"]
+
 MODES = ("float", "exact", "auto")
 
 

@@ -51,7 +51,8 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
 
     Edges are stored as lexicographically sorted (u, v) pairs with u < v.
-    Loops and parallel edges are rejected.
+    Loops and parallel edges are rejected.  ``edges`` is the public view of
+    the graph; the adjacency lists built from it are private to the package.
 
     Derived data is computed at most once and lives as long as the graph: the
     distance matrix (see ``distance_matrix``) and the Schoenberg verdicts of
@@ -100,16 +101,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Neighbors of v in ascending order."""
-        v = _vertex(v)
-        if not 0 <= v < self.n:
-            raise GraphError(f"vertex {v} out of range for {self.n} vertices")
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = _vertex(u), _vertex(v)

@@ -364,17 +364,11 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     """
     for block in _irreducible_blocks(a):
         if len(block) == 1:
-            i = block[0]
-            if a[i, i] < 0:
-                v = [0] * len(a)
-                v[i] = 1
-                return v
-            continue
-        sub = _principal(a, block)
-        if len(block) >= _NUMPY_MIN_DIM and sub.dtype == np.int64:
-            cert = _bareiss_int64(sub)
+            cert = [1] if a[block[0], block[0]] < 0 else None
+        elif len(block) >= _NUMPY_MIN_DIM and a.dtype == np.int64:
+            cert = _bareiss_int64(_principal(a, block))
         else:
-            cert = _bareiss_certificate(_lower(sub))
+            cert = _bareiss_certificate(_lower(_principal(a, block)))
         if cert is not None:
             v = [0] * len(a)
             for i, x in zip(block, cert):
@@ -399,31 +393,16 @@ def _is_psd_exact(m) -> PsdVerdict:
     )
 
 
-def _is_psd_float(a: np.ndarray, tol: Tolerances) -> tuple[PsdVerdict, float, np.ndarray | None]:
-    """The float verdict, its tolerance bound, and the unit eigenvector of
-    lambda_min (None for an empty matrix)."""
-    if a.shape[0] == 0:
-        return PsdVerdict(is_psd=True, mode_used="float"), 1.0, None
+def _float_spectrum(a, tol: Tolerances) -> tuple[SpectrumResult, float]:
+    """The eigendecomposition of the non-empty symmetric matrix a, and the
+    bound of the float PSD rule: a counts as PSD when lambda_min >= -bound,
+    with bound = tol.psd_rel * max(1, lambda_max).
+
+    The one float rule of the package: is_psd applies it to its matrix,
+    is_cnd to the compressed -D, and winkler.reconstruct_embedding to 2K.
+    The solve goes through the module attribute eigen_sym."""
     res = eigen_sym(a)
-    lam_max = float(res.eigenvalues[0])
-    lam_min = float(res.eigenvalues[-1])
-    vec = res.eigenvectors[:, -1]
-    bound = tol.psd_rel * max(1.0, lam_max)
-    if lam_min >= -bound:
-        verdict = PsdVerdict(is_psd=True, mode_used="float", lambda_min=lam_min, lambda_max=lam_max)
-    else:
-        value = float(vec @ a @ vec)
-        if value >= 0:
-            raise SpectraError("internal error: float certificate failed re-validation")
-        verdict = PsdVerdict(
-            is_psd=False,
-            mode_used="float",
-            lambda_min=lam_min,
-            lambda_max=lam_max,
-            certificate=tuple(vec.tolist()),
-            certificate_value=value,
-        )
-    return verdict, bound, vec
+    return res, tol.psd_rel * max(1.0, float(res.eigenvalues[0]))
 
 
 def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVerdict:
@@ -440,13 +419,28 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     if mode == "exact":
         return _is_psd_exact(m)
     a = _as_float_sym(m)
-    verdict, bound, _ = _is_psd_float(a, tol)
-    if mode == "float":
-        return verdict
-    if verdict.lambda_min is not None and abs(verdict.lambda_min) < _AUTO_ESCALATION * bound:
+    if a.shape[0] == 0:
+        return PsdVerdict(is_psd=True, mode_used="float")
+    res, bound = _float_spectrum(a, tol)
+    lam_max = float(res.eigenvalues[0])
+    lam_min = float(res.eigenvalues[-1])
+    if mode == "auto" and abs(lam_min) < _AUTO_ESCALATION * bound:
         exact = _is_psd_exact(m)
-        return replace(exact, lambda_min=verdict.lambda_min, lambda_max=verdict.lambda_max)
-    return verdict
+        return replace(exact, lambda_min=lam_min, lambda_max=lam_max)
+    if lam_min >= -bound:
+        return PsdVerdict(is_psd=True, mode_used="float", lambda_min=lam_min, lambda_max=lam_max)
+    vec = res.eigenvectors[:, -1]
+    value = float(vec @ a @ vec)
+    if value >= 0:
+        raise SpectraError("internal error: float certificate failed re-validation")
+    return PsdVerdict(
+        is_psd=False,
+        mode_used="float",
+        lambda_min=lam_min,
+        lambda_max=lam_max,
+        certificate=tuple(vec.tolist()),
+        certificate_value=value,
+    )
 
 
 def _check_distance_matrix(a: np.ndarray) -> np.ndarray:
@@ -626,15 +620,16 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     if a.shape[0] < 2:
         return CndVerdict(is_cnd=True, mode_used="float")
     r, w = reduce_ones_complement(a)
-    verdict, bound, vec = _is_psd_float(-r, tol)
-    max_eig = -verdict.lambda_min
-    x = np.concatenate(([0.0], vec))
+    # -r is PSD iff max_eig = -lambda_min(-r) <= bound
+    res, bound = _float_spectrum(-r, tol)
+    max_eig = -float(res.eigenvalues[-1])
+    x = np.concatenate(([0.0], res.eigenvectors[:, -1]))
     f = x - float(w @ x) * w
     maximizer = tuple(f.tolist())
-    if mode == "auto" and abs(verdict.lambda_min) < _AUTO_ESCALATION * bound:
+    if mode == "auto" and abs(max_eig) < _AUTO_ESCALATION * bound:
         exact = _is_cnd_exact(*_as_integer_sym(d))  # the same entries, checked above
         return replace(exact, max_eig=max_eig, maximizer=maximizer)
-    if verdict.is_psd:
+    if max_eig <= bound:
         return CndVerdict(is_cnd=True, mode_used="float", max_eig=max_eig, maximizer=maximizer)
     value = float(f @ a @ f)
     if value <= 0 or abs(float(f.sum())) > 1e-8:

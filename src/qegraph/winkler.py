@@ -164,12 +164,9 @@ def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     elif tree.graph is not g and tree.graph != g:
         raise TreeError("tree belongs to a different host graph")
     d = distance_matrix(g)
-    if tree.tree_edges:
-        heads, tails = np.array(tree.tree_edges, dtype=np.int64).T
-        db = (d[heads] - d[tails]).T
-        two_k = db[tails] - db[heads]
-    else:
-        two_k = np.zeros((0, 0), dtype=np.int64)
+    heads, tails = np.array(tree.tree_edges, dtype=np.int64).reshape(-1, 2).T
+    db = (d[heads] - d[tails]).T
+    two_k = db[tails] - db[heads]
     two_k.setflags(write=False)
     return KernelMatrix(two_k)
 
@@ -229,23 +226,27 @@ def build_theta1_block_kernel(k: int, l: int, parity: str) -> KernelMatrix:
 @dataclass(frozen=True, eq=False)
 class Embedding:
     """Vectors realizing squared Euclidean distances equal to the graph
-    metric; vertex 0 sits at the origin."""
+    metric, one read-only row per vertex; vertex 0 sits at the origin.
+    ``reconstruct_embedding`` has checked every distance to within 1e-8
+    before it returns one."""
 
     vectors: np.ndarray
-    max_error: float
 
 
 def reconstruct_embedding(g: Graph) -> Embedding:
     """Explicit quadratic embedding of g built from a PSD tree kernel.
 
     The kernel K over the canonical BFS tree is factored through the
-    eigendecomposition of the integer 2K, whose eigenvalues are halved once
-    (eigenvalues of K within ``DEFAULT_TOLERANCES.psd_rel`` of zero,
-    relative to the largest, are clamped; genuinely negative ones raise
-    EmbeddingError), giving one vector per tree edge.  Vertex 0 sits at the
-    origin, and each tree edge (a, b), parent to child in discovery order,
-    gives b the vector of a plus the edge's vector.  The result is validated
-    against the whole metric to within 1e-8 (_EMBED_TOL).
+    eigendecomposition of the integer 2K under the float PSD rule of
+    ``spectra`` at ``DEFAULT_TOLERANCES``: eigenvalues of 2K within the
+    bound of zero are clamped, and a genuinely negative one raises
+    EmbeddingError.  diag(K) = 1 gives lambda_max(K) >= 1, so the bound of
+    2K is exactly twice that of K and the rule decides as it would on K.
+    Each kept eigenvalue is halved only to scale its eigenvector by
+    sqrt(lambda / 2), giving one vector per tree edge.  Vertex 0 sits at
+    the origin, and each tree edge (a, b), parent to child in discovery
+    order, gives b the vector of a plus the edge's vector.  The result is
+    validated against the whole metric to within 1e-8 (_EMBED_TOL).
     """
     tree = default_orientation_and_tree(g)
     kern = winkler_kernel(g, tree)
@@ -253,14 +254,15 @@ def reconstruct_embedding(g: Graph) -> Embedding:
     if kern.dim == 0:
         vectors = np.zeros((g.n, 0))
         vectors.setflags(write=False)
-        return Embedding(vectors=vectors, max_error=0.0)
-    res = spectra.eigen_sym(kern.two_k)
-    lam = res.eigenvalues / 2  # the eigenvalues of K
-    bound = DEFAULT_TOLERANCES.psd_rel * max(1.0, float(lam[0]))
+        return Embedding(vectors)
+    res, bound = spectra._float_spectrum(kern.two_k, DEFAULT_TOLERANCES)
+    lam = res.eigenvalues  # twice the eigenvalues of K
     if lam[-1] < -bound:
-        raise EmbeddingError(f"kernel is not positive semidefinite (lambda_min = {lam[-1]:.3e})")
+        raise EmbeddingError(
+            f"kernel is not positive semidefinite (lambda_min = {lam[-1] / 2:.3e})"
+        )
     keep = lam > bound  # clamp the near-zero band to exact zero
-    edge_vecs = res.eigenvectors[:, keep] * np.sqrt(lam[keep])
+    edge_vecs = res.eigenvectors[:, keep] * np.sqrt(lam[keep] / 2)
     vectors = np.zeros((g.n, edge_vecs.shape[1]))
     # the default tree's edges run parent to child in discovery order, so
     # each tail is 0 or the head of an earlier edge
@@ -272,7 +274,7 @@ def reconstruct_embedding(g: Graph) -> Embedding:
     if max_error > _EMBED_TOL:
         raise EmbeddingError(f"reconstructed distances deviate by {max_error:.3e}")
     vectors.setflags(write=False)
-    return Embedding(vectors=vectors, max_error=max_error)
+    return Embedding(vectors)
 
 
 def parse_tree_text(text: str, g: Graph) -> OrientedTree:

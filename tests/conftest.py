@@ -14,13 +14,37 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qegraph
-from qegraph import Graph, OrientedTree, graph_from_uri
+from qegraph import (
+    Graph,
+    OrientedTree,
+    ThetaSpec,
+    classify_theta_closed_form,
+    graph_from_uri,
+    make_cycle,
+    make_path,
+    make_theta,
+)
+
+# On a failing example Hypothesis's pytest plugin imports this module, and
+# through libcst mypy_extensions, whose DeprecationWarning the
+# filterwarnings = ["error"] setting would turn into an INTERNALERROR that
+# ends the session.  Imported here, once and with that warning ignored, it
+# is already loaded when a test fails.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
+
+pytest_plugins = ["pytester"]
 
 INF = 10**9
 
@@ -86,20 +110,86 @@ def all_labeled_trees(n: int):
         yield prufer_decode(seq, n)
 
 
+def adjacency(g: Graph) -> list[list[int]]:
+    """The neighbours of each vertex, from g.edges."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
 def two_coloring(g: Graph) -> list[int] | None:
     """A proper 2-coloring, or None when the graph is not bipartite."""
+    adj = adjacency(g)
     color = [-1] * g.n
     color[0] = 0
     queue = [0]
     while queue:
         u = queue.pop()
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if color[w] == -1:
                 color[w] = 1 - color[u]
                 queue.append(w)
             elif color[w] == color[u]:
                 return None
     return color
+
+
+def embedding_error(vectors: np.ndarray, g: Graph) -> float:
+    """Largest | ||x_u - x_v||^2 - d(u, v) | over vertex pairs, with d from
+    Floyd-Warshall."""
+    gram = vectors @ vectors.T
+    sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram
+    return float(np.abs(sq - floyd_warshall(g)).max())
+
+
+def part_graph(rng: random.Random, kind: str, m: int) -> tuple[Graph, bool]:
+    """A graph of one kind on at most m vertices (m >= 6), and whether it is
+    of QE class.  Kinds of QE class: "cycle" on m vertices, "odd-cycle" on
+    m or m - 1, "path" and "star" on m, "theta1" (a theta with a leg of
+    length 1) on m, and "theta1-even", Theta(1, 2k, 2l), on m or m - 1.
+    Kind "theta" is a theta on m vertices with a first leg of 2 or 3,
+    whose class the closed form gives."""
+    if kind == "cycle":
+        return make_cycle(m), True
+    if kind == "odd-cycle":
+        return make_cycle(m - 1 + m % 2), True
+    if kind == "path":
+        return make_path(m), True
+    if kind == "star":
+        return Graph(m, tuple((0, v) for v in range(1, m))), True
+    if kind == "theta1-even":
+        k = rng.randint(1, m // 2 - 1)
+        return make_theta(ThetaSpec(1, 2 * k, 2 * (m // 2 - k))), True
+    a = 1 if kind == "theta1" else rng.randint(2, 3)
+    b = rng.randint(2, m - a - 1)
+    spec = ThetaSpec(a, b, m + 1 - a - b)
+    return make_theta(spec), classify_theta_closed_form(spec).is_qe
+
+
+def glued_parts(
+    rng: random.Random, kinds, sizes
+) -> tuple[Graph, list[tuple[Graph, list[int], bool]]]:
+    """One part_graph per kind and size, each glued at a random vertex of it
+    to a random vertex of those before it, under a random relabelling.
+    Returns the glued graph and, per part, the graph, its vertex map and
+    whether it is of QE class."""
+    n, edges, placed = 0, [], []
+    for kind, m in zip(kinds, sizes, strict=True):
+        h, qe = part_graph(rng, kind, m)
+        phi = list(range(h.n))
+        if placed:
+            glue = rng.randrange(h.n)
+            phi = [n + v - (v > glue) for v in phi]
+            phi[glue] = rng.randrange(n)
+        n += h.n - bool(placed)
+        edges += [(phi[u], phi[v]) for u, v in h.edges]
+        placed.append((h, phi, qe))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    glued = Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
+    return glued, [(h, [perm[x] for x in phi], qe) for h, phi, qe in placed]
 
 
 def run_python(script: str, *flags: str) -> subprocess.CompletedProcess:

@@ -1,11 +1,14 @@
 import gc
 import json
 import math
+import random
 import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qegraph import (
     Graph,
@@ -40,7 +43,9 @@ from qegraph import analysis, spectra
 from qegraph.config import MODES
 
 from conftest import (
+    embedding_error,
     floyd_warshall,
+    glued_parts,
     is_connected,
     is_isometric,
     random_connected_graph,
@@ -380,6 +385,41 @@ class TestVertexGluing:
         x = [Fraction(v) for v in w.evidence["certificate"]]
         assert all(x[i] == 0 for i in bridges)
 
+    @given(
+        st.lists(
+            st.sampled_from(("odd-cycle", "path", "star", "theta1-even", "theta")),
+            min_size=2,
+            max_size=4,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_auto_verdicts_are_the_and_of_the_parts_at_scale(self, kinds, seed):
+        # the star product of Obata and Zakiyyah (Electron. J. Graph Theory
+        # Appl. 6 (2018) 37-60) at the north-star sizes: 100-300 vertices,
+        # split at random among parts of at least 6 (part_graph may build
+        # one fewer than asked).  Both routes decide in auto mode, and each
+        # negative certificate, of ints when exact and of floats otherwise,
+        # is re-checked against Floyd-Warshall distances
+        rng = random.Random(seed)
+        k = len(kinds)
+        spare = rng.randint(100 + k, 300) + k - 1 - 6 * k
+        cuts = sorted(rng.randint(0, spare) for _ in range(k - 1))
+        sizes = [6 + b - a for a, b in zip([0, *cuts], [*cuts, spare])]
+        g, parts = glued_parts(rng, kinds, sizes)
+        assert 100 <= g.n <= 300
+        want = all(qe for _, _, qe in parts)
+        s = classify_schoenberg(g, mode="auto")
+        w = classify_winkler(g, mode="auto")
+        assert s.is_qe == w.is_qe == want, (kinds, s.mode_used, w.mode_used)
+        if want:
+            return
+        d = floyd_warshall(g)
+        f = np.array(s.evidence["certificate"], dtype=object if s.mode_used == "exact" else float)
+        assert abs(f.sum()) <= 1e-8 and f @ d @ f > 0
+        x = np.array(w.evidence["certificate"], dtype=object if w.mode_used == "exact" else float)
+        assert x @ tree_two_k(d, default_orientation_and_tree(g).tree_edges) @ x < 0
+
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """G □ H on the pairs (u, v), numbered u * h.n + v: (u, v) ~ (u', v')
@@ -423,10 +463,7 @@ class TestCartesianProduct:
         tree = default_orientation_and_tree(g).tree_edges
         assert len(tree) == g.n - 1 and {tuple(sorted(e)) for e in tree} <= set(g.edges)
         if want:
-            emb = reconstruct_embedding(g).vectors
-            gram = emb @ emb.T
-            sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram
-            assert np.abs(sq - d).max() <= 1e-8
+            assert embedding_error(reconstruct_embedding(g).vectors, g) <= 1e-8
             return
         f, x = s.evidence["certificate"], w.evidence["certificate"]
         if s.mode_used == "exact":

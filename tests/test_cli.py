@@ -179,6 +179,15 @@ class TestClassify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["classify", "kernel"])
+    def test_tree_edge_off_the_host_exit_2(self, capsys, tmp_path, command):
+        # theta:2,3,3 has no edge (0, 1): its junctions are two apart
+        tree_file = tmp_path / "bad.tree"
+        tree_file.write_text("0 1\n1 2\n2 0\n1 4\n3 0\n1 6\n")
+        code, out, err = run_cli(capsys, command, "theta:2,3,3", "--tree", str(tree_file))
+        assert code == 2 and out == ""
+        assert err == "error: tree edge (0, 1) is not a host edge\n"
+
     def test_mode_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QEGRAPH_MODE", "exact")
         code, out, _ = run_cli(
@@ -480,6 +489,13 @@ def test_public_names_and_benchmark_trace_targets_resolve(bench_import):
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+    # the package declares no name of its own but its version: it re-exports
+    # each library module's list, once
+    library = ("analysis", "config", "graphs", "spectra", "winkler")
+    assert len(set(qegraph.__all__)) == len(qegraph.__all__)
+    assert set(qegraph.__all__) == {"__version__"}.union(
+        *(importlib.import_module(f"qegraph.{name}").__all__ for name in library)
+    )
     for span, home, attr in bench_import("tracer").TRACED:
         assert callable(getattr(home, attr, None)), span
     assert winkler_kernel(make_cycle(4)).dim == 3

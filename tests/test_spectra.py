@@ -11,7 +11,6 @@ from qegraph import (
     Graph,
     ThetaSpec,
     Tolerances,
-    classify_theta_closed_form,
     classify_winkler,
     distance_matrix,
     eigen_sym,
@@ -35,6 +34,7 @@ from qegraph.cli import format_matrix_text
 
 from conftest import (
     floyd_warshall,
+    glued_parts,
     int_form,
     is_connected,
     is_isometric,
@@ -710,40 +710,6 @@ class TestCnd:
         assert verdict.certificate_value == int_form(d, verdict.certificate) * big > 0
 
 
-def glued_parts(rng: random.Random, kinds) -> tuple[Graph, list[tuple[Graph, list[int], bool]]]:
-    """One small graph per kind, each glued at a random vertex of it to a
-    random vertex of those before it, under a random relabelling.  Returns
-    the glued graph and, per part, the graph, its vertex map and whether
-    it is of QE class (the closed form for thetas; cycles, paths and stars
-    are)."""
-    parts = []
-    for kind in kinds:
-        if kind == "cycle":
-            parts.append((make_cycle(rng.randint(3, 30)), True))
-        elif kind == "theta":
-            spec = ThetaSpec(rng.randint(1, 3), rng.randint(2, 8), rng.randint(2, 20))
-            parts.append((make_theta(spec), classify_theta_closed_form(spec).is_qe))
-        elif kind == "path":
-            parts.append((make_path(rng.randint(2, 30)), True))
-        else:
-            m = rng.randint(3, 20)
-            parts.append((Graph(m, tuple((0, v) for v in range(1, m))), True))
-    n, edges, placed = 0, [], []
-    for h, qe in parts:
-        phi = list(range(h.n))
-        if placed:
-            glue = rng.randrange(h.n)
-            phi = [n + v - (v > glue) for v in phi]
-            phi[glue] = rng.randrange(n)
-        n += h.n - bool(placed)
-        edges += [(phi[u], phi[v]) for u, v in h.edges]
-        placed.append((h, phi, qe))
-    perm = list(range(n))
-    rng.shuffle(perm)
-    glued = Graph(n, tuple((perm[u], perm[v]) for u, v in edges))
-    return glued, [(h, [perm[x] for x in phi], qe) for h, phi, qe in placed]
-
-
 def star_reduction(d: np.ndarray, r: int) -> np.ndarray:
     """R_ij = d(i, r) + d(j, r) - d(i, j) over i, j != r."""
     others = [i for i in range(len(d)) if i != r]
@@ -756,7 +722,9 @@ class TestBlockAnchoredReduction:
     through which the block of i hangs toward a central vertex."""
 
     @given(
-        st.lists(st.sampled_from(("cycle", "theta", "path", "star")), min_size=2, max_size=4),
+        st.lists(
+            st.sampled_from(("cycle", "theta1", "theta", "path", "star")), min_size=2, max_size=4
+        ),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=40, deadline=None)
@@ -766,7 +734,8 @@ class TestBlockAnchoredReduction:
         # Theory Appl. 6 (2018) 37-60), so the verdict is the AND of the
         # parts'; a certificate comes from one failing part, a theta, which
         # is one block and contains its own anchor
-        g, parts = glued_parts(random.Random(seed), kinds)
+        rng = random.Random(seed)
+        g, parts = glued_parts(rng, kinds, [rng.randint(6, 30) for _ in kinds])
         d = floyd_warshall(g)
         for h, phi, _ in parts:
             assert is_isometric(h, g, phi)
