@@ -393,16 +393,19 @@ def _is_psd_exact(m) -> PsdVerdict:
     )
 
 
-def _float_spectrum(a, tol: Tolerances) -> tuple[SpectrumResult, float]:
-    """The eigendecomposition of the non-empty symmetric matrix a, and the
-    bound of the float PSD rule: a counts as PSD when lambda_min >= -bound,
-    with bound = tol.psd_rel * max(1, lambda_max).
+def _float_spectrum(a, tol: Tolerances) -> tuple[SpectrumResult, float, bool, bool]:
+    """The float PSD rule on the non-empty symmetric matrix a: its
+    eigendecomposition (solved through the module attribute eigen_sym), the
+    bound tol.psd_rel * max(1, lambda_max), the verdict lambda_min >= -bound,
+    and whether |lambda_min| < 10 * bound, the window in which auto mode
+    re-decides exactly.
 
     The one float rule of the package: is_psd applies it to its matrix,
-    is_cnd to the compressed -D, and winkler.reconstruct_embedding to 2K.
-    The solve goes through the module attribute eigen_sym."""
+    is_cnd to the compressed -D, and winkler.reconstruct_embedding to 2K."""
     res = eigen_sym(a)
-    return res, tol.psd_rel * max(1.0, float(res.eigenvalues[0]))
+    lam_min = float(res.eigenvalues[-1])
+    bound = tol.psd_rel * max(1.0, float(res.eigenvalues[0]))
+    return res, bound, lam_min >= -bound, abs(lam_min) < _AUTO_ESCALATION * bound
 
 
 def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVerdict:
@@ -421,13 +424,13 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     a = _as_float_sym(m)
     if a.shape[0] == 0:
         return PsdVerdict(is_psd=True, mode_used="float")
-    res, bound = _float_spectrum(a, tol)
+    res, _, psd, near_zero = _float_spectrum(a, tol)
     lam_max = float(res.eigenvalues[0])
     lam_min = float(res.eigenvalues[-1])
-    if mode == "auto" and abs(lam_min) < _AUTO_ESCALATION * bound:
+    if mode == "auto" and near_zero:
         exact = _is_psd_exact(m)
         return replace(exact, lambda_min=lam_min, lambda_max=lam_max)
-    if lam_min >= -bound:
+    if psd:
         return PsdVerdict(is_psd=True, mode_used="float", lambda_min=lam_min, lambda_max=lam_max)
     vec = res.eigenvectors[:, -1]
     value = float(vec @ a @ vec)
@@ -620,16 +623,16 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     if a.shape[0] < 2:
         return CndVerdict(is_cnd=True, mode_used="float")
     r, w = reduce_ones_complement(a)
-    # -r is PSD iff max_eig = -lambda_min(-r) <= bound
-    res, bound = _float_spectrum(-r, tol)
+    # D is CND iff -r is PSD; max_eig = -lambda_min(-r)
+    res, _, psd, near_zero = _float_spectrum(-r, tol)
     max_eig = -float(res.eigenvalues[-1])
     x = np.concatenate(([0.0], res.eigenvectors[:, -1]))
     f = x - float(w @ x) * w
     maximizer = tuple(f.tolist())
-    if mode == "auto" and abs(max_eig) < _AUTO_ESCALATION * bound:
+    if mode == "auto" and near_zero:
         exact = _is_cnd_exact(*_as_integer_sym(d))  # the same entries, checked above
         return replace(exact, max_eig=max_eig, maximizer=maximizer)
-    if max_eig <= bound:
+    if psd:
         return CndVerdict(is_cnd=True, mode_used="float", max_eig=max_eig, maximizer=maximizer)
     value = float(f @ a @ f)
     if value <= 0 or abs(float(f.sum())) > 1e-8:

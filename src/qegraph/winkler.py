@@ -255,9 +255,9 @@ def reconstruct_embedding(g: Graph) -> Embedding:
         vectors = np.zeros((g.n, 0))
         vectors.setflags(write=False)
         return Embedding(vectors)
-    res, bound = spectra._float_spectrum(kern.two_k, DEFAULT_TOLERANCES)
+    res, bound, psd, _ = spectra._float_spectrum(kern.two_k, DEFAULT_TOLERANCES)
     lam = res.eigenvalues  # twice the eigenvalues of K
-    if lam[-1] < -bound:
+    if not psd:
         raise EmbeddingError(
             f"kernel is not positive semidefinite (lambda_min = {lam[-1] / 2:.3e})"
         )

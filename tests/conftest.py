@@ -145,24 +145,21 @@ def embedding_error(vectors: np.ndarray, g: Graph) -> float:
 
 
 def part_graph(rng: random.Random, kind: str, m: int) -> tuple[Graph, bool]:
-    """A graph of one kind on at most m vertices (m >= 6), and whether it is
-    of QE class.  Kinds of QE class: "cycle" on m vertices, "odd-cycle" on
-    m or m - 1, "path" and "star" on m, "theta1" (a theta with a leg of
-    length 1) on m, and "theta1-even", Theta(1, 2k, 2l), on m or m - 1.
-    Kind "theta" is a theta on m vertices with a first leg of 2 or 3,
-    whose class the closed form gives."""
+    """A graph of one kind on m vertices, and whether it is of QE class.
+    Kinds of QE class: "cycle" (m >= 3), "path" (m >= 1), "star" (m >= 2)
+    and "theta1-even", Theta(1, 2k, 2l) on an even m >= 4.  Kind "theta"
+    (m >= 4) is a theta with a first leg of 1 to 3, whose class the closed
+    form gives."""
     if kind == "cycle":
         return make_cycle(m), True
-    if kind == "odd-cycle":
-        return make_cycle(m - 1 + m % 2), True
     if kind == "path":
         return make_path(m), True
     if kind == "star":
         return Graph(m, tuple((0, v) for v in range(1, m))), True
     if kind == "theta1-even":
         k = rng.randint(1, m // 2 - 1)
-        return make_theta(ThetaSpec(1, 2 * k, 2 * (m // 2 - k))), True
-    a = 1 if kind == "theta1" else rng.randint(2, 3)
+        return make_theta(ThetaSpec(1, 2 * k, m - 2 * k)), True
+    a = rng.randint(1, min(3, m - 3))
     b = rng.randint(2, m - a - 1)
     spec = ThetaSpec(a, b, m + 1 - a - b)
     return make_theta(spec), classify_theta_closed_form(spec).is_qe

@@ -387,7 +387,7 @@ class TestVertexGluing:
 
     @given(
         st.lists(
-            st.sampled_from(("odd-cycle", "path", "star", "theta1-even", "theta")),
+            st.sampled_from(("cycle", "path", "star", "theta1-even", "theta")),
             min_size=2,
             max_size=4,
         ),
@@ -396,16 +396,16 @@ class TestVertexGluing:
     @settings(max_examples=15, deadline=None)
     def test_auto_verdicts_are_the_and_of_the_parts_at_scale(self, kinds, seed):
         # the star product of Obata and Zakiyyah (Electron. J. Graph Theory
-        # Appl. 6 (2018) 37-60) at the north-star sizes: 100-300 vertices,
-        # split at random among parts of at least 6 (part_graph may build
-        # one fewer than asked).  Both routes decide in auto mode, and each
-        # negative certificate, of ints when exact and of floats otherwise,
-        # is re-checked against Floyd-Warshall distances
+        # Appl. 6 (2018) 37-60) at the north-star sizes: 100-300 vertices in
+        # 2-4 parts, cycles odd and Theta(1, 2k, 2l) even.  Both routes
+        # decide in auto mode, and each negative certificate, of ints when
+        # exact and of floats otherwise, is re-checked against Floyd-Warshall
+        # distances
         rng = random.Random(seed)
-        k = len(kinds)
-        spare = rng.randint(100 + k, 300) + k - 1 - 6 * k
-        cuts = sorted(rng.randint(0, spare) for _ in range(k - 1))
-        sizes = [6 + b - a for a, b in zip([0, *cuts], [*cuts, spare])]
+        k, sizes = len(kinds), []
+        for kind in kinds:
+            m = rng.randint(100 // k + 2, 300 // k - 1)
+            sizes.append(m | 1 if kind == "cycle" else m & ~1 if kind == "theta1-even" else m)
         g, parts = glued_parts(rng, kinds, sizes)
         assert 100 <= g.n <= 300
         want = all(qe for _, _, qe in parts)
