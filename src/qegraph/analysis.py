@@ -86,6 +86,11 @@ def _half(x):
     return None if x is None else x / 2
 
 
+def _single_vertex(method: str) -> QeVerdict:
+    # one vertex embeds at a point: neither route has a pair of vertices
+    return QeVerdict(method=method, is_qe=True, evidence={"note": "single vertex"})
+
+
 def classify_theta_closed_form(spec: ThetaSpec) -> QeVerdict:
     """Decide embeddability of a theta graph from its leg lengths alone."""
     a, b, c = spec.normalized().legs
@@ -130,11 +135,7 @@ def classify_schoenberg(
     graph; ``qec`` reads the same auto-mode decision.
     """
     if g.n == 1:
-        return QeVerdict(
-            method="schoenberg",
-            is_qe=True,
-            evidence={"note": "single vertex"},
-        )
+        return _single_vertex("schoenberg")
     verdict = _schoenberg(g, mode, tol)
     evidence: dict = {"max_eig_on_ones_complement": _jsonable(verdict.max_eig)}
     if verdict.certificate is not None:
@@ -161,11 +162,7 @@ def classify_winkler(
     needs no rational scaling; lambda_min, lambda_max and the certificate
     value in the evidence are halved back to K's."""
     if g.n == 1:
-        return QeVerdict(
-            method="winkler",
-            is_qe=True,
-            evidence={"note": "single vertex"},
-        )
+        return _single_vertex("winkler")
     kern = winkler_kernel(g, tree)
     # K's verdict: diag(K) = 1 gives lambda_max(K) >= 1, so the float bound
     # psd_rel * max(1, lambda_max) and the auto window scale by exactly 2, as
@@ -263,13 +260,9 @@ def witness_quadratic_form(k: int) -> int:
     The value is independent of k because the witness sums to zero on each
     side of the block whose distances grow with k.
     """
-    k = require_int(k, "k")
-    if k < 1:
-        raise ValueError(f"witness needs k >= 1, got {k}")
+    names = fixtures.witness_vertex_names(k)  # checks k first
     spec = ThetaSpec(2, 3, 2 * k + 7)
-    g = make_theta(spec)
-    d = distance_matrix(g)
-    names = fixtures.witness_vertex_names(k)
+    d = distance_matrix(make_theta(spec))
     idx = np.array([spec.vertex_index(name) for name in names])
     sub = d[np.ix_(idx, idx)]
     expected = fixtures.WITNESS_BASE + k * fixtures.WITNESS_STEP
@@ -421,8 +414,8 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
 
     def kernel_matrix_check():
         spec = fixtures.QE_THETA_SPECS[0]
-        g = make_theta(spec)
-        kern = winkler_kernel(g, fixtures.reference_tree(spec, g))
+        tree = fixtures.reference_tree(spec)
+        kern = winkler_kernel(tree.graph, tree)
         expected = fixtures.reference_two_k(spec)
         _require(
             np.array_equal(kern.two_k, expected),
@@ -436,8 +429,8 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
     for spec in fixtures.QE_THETA_SPECS:
 
         def spectrum_check(spec=spec):
-            g = make_theta(spec)
-            kern = winkler_kernel(g, fixtures.reference_tree(spec, g))
+            tree = fixtures.reference_tree(spec)
+            kern = winkler_kernel(tree.graph, tree)
             got = np.linalg.eigvalsh(kern.two_k.astype(float))[::-1]  # descending
             want = fixtures.reference_spectrum(spec)
             err = float(np.max(np.abs(got - want)))
@@ -453,7 +446,7 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
 
         def block_check(parity=parity, extra=extra):
             for k, l in _KL_PAIRS:
-                _, tree = fixtures.theta1_tree(k, l, parity)
+                tree = fixtures.theta1_tree(k, l, parity)
                 kern = winkler_kernel(tree.graph, tree)
                 block = build_theta1_block_kernel(k, l, parity).two_k
                 _require(
@@ -524,17 +517,10 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
             g = make_theta(ThetaSpec(1, beta, gamma))
             value = qec(g, tol=tol).value
             low, high = qec_theta1_bounds(beta, gamma)
-            if beta % 2 == 1 or gamma % 2 == 1:
-                _require(
-                    abs(value) <= 1e-9,
-                    f"QEC of Theta(1, {beta}, {gamma}) is {value}, expected 0",
-                )
-            else:
-                _require(
-                    low - 1e-9 <= value <= high + 1e-9,
-                    f"QEC of Theta(1, {beta}, {gamma}) is {value}, "
-                    f"outside [{low}, {high}]",
-                )
+            _require(
+                low - 1e-9 <= value <= high + 1e-9,
+                f"QEC of Theta(1, {beta}, {gamma}) is {value}, outside [{low}, {high}]",
+            )
         return "length-1-leg constants sit in their closed-form brackets"
 
     results.append(_check("corollary-qec-bounds", corollary_check))

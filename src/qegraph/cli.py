@@ -131,8 +131,15 @@ def _verdicts_for(args: argparse.Namespace):
     return g, verdicts
 
 
-def _classify_json(args, g, verdicts) -> str:
-    decisions = {v.is_qe for v in verdicts}
+def _decision(verdicts) -> tuple[str, int]:
+    """The routes' common decision, "QE", "NonQE" or "disagreement", and
+    the exit code that goes with it."""
+    if len({v.is_qe for v in verdicts}) > 1:
+        return "disagreement", EXIT_DISAGREE
+    return verdicts[0].decision, EXIT_QE if verdicts[0].is_qe else EXIT_NON_QE
+
+
+def _classify_json(args, g, verdicts, decision: str) -> str:
     payload = {
         "graph": args.graph,
         "n": g.n,
@@ -148,13 +155,13 @@ def _classify_json(args, g, verdicts) -> str:
             }
             for v in verdicts
         ],
-        "agreement": len(decisions) == 1,
-        "decision": verdicts[0].decision if len(decisions) == 1 else "disagreement",
+        "agreement": decision != "disagreement",
+        "decision": decision,
     }
     return json.dumps(payload, indent=2)
 
 
-def _classify_text(args, g, verdicts) -> str:
+def _classify_text(args, g, verdicts, decision: str) -> str:
     lines = [f"graph: {args.graph} ({g.n} vertices, {g.n_edges} edges)"]
     for v in verdicts:
         note = ""
@@ -170,25 +177,16 @@ def _classify_text(args, g, verdicts) -> str:
                 note = f"  [kernel lambda_min {value:.6g}]"
         used = f" ({v.mode_used})" if v.mode_used else ""
         lines.append(f"{v.method}: {v.decision}{used}{note}")
-    decisions = {v.is_qe for v in verdicts}
-    lines.append(
-        f"decision: {verdicts[0].decision}" if len(decisions) == 1 else "decision: disagreement"
-    )
+    lines.append(f"decision: {decision}")
     return "\n".join(lines)
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     g, verdicts = _verdicts_for(args)
-    report = (
-        _classify_json(args, g, verdicts)
-        if args.format == "json"
-        else _classify_text(args, g, verdicts)
-    )
-    _emit(report, args.out)
-    decisions = {v.is_qe for v in verdicts}
-    if len(decisions) > 1:
-        return EXIT_DISAGREE
-    return EXIT_QE if decisions.pop() else EXIT_NON_QE
+    decision, code = _decision(verdicts)
+    render = _classify_json if args.format == "json" else _classify_text
+    _emit(render(args, g, verdicts, decision), args.out)
+    return code
 
 
 def cmd_qec(args: argparse.Namespace) -> int:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .config import require_int
-from .graphs import Graph, ThetaSpec, make_theta
+from .graphs import ThetaSpec, make_theta
 from .winkler import OrientedTree, _theta1_params
 
 __all__ = [
@@ -39,15 +39,15 @@ _TREES = {
 }
 
 
-def reference_tree(spec: ThetaSpec, g: Graph | None = None) -> OrientedTree:
+def reference_tree(spec: ThetaSpec) -> OrientedTree:
     """The reference oriented spanning tree for one of the three embeddable
-    (2, 3, gamma) theta graphs, checked as any tree from outside is."""
+    (2, 3, gamma) theta graphs, checked as any tree from outside is.  Its
+    host, ``tree.graph``, is ``make_theta(spec.normalized())``: legs in any
+    order name the same tree."""
     spec = spec.normalized()
     if spec not in _TREES:
         raise ValueError(f"no bundled tree for {spec.uri()}")
-    if g is None:
-        g = make_theta(spec)
-    return OrientedTree(g, _TREES[spec])
+    return OrientedTree(make_theta(spec), _TREES[spec])
 
 
 _TWO_K_2_3_3 = (
@@ -126,15 +126,14 @@ def reference_spectrum(spec: ThetaSpec) -> np.ndarray:
     return np.array(values)
 
 
-def theta1_tree(k: int, l: int, parity: str) -> tuple[Graph, OrientedTree]:
+def theta1_tree(k: int, l: int, parity: str) -> OrientedTree:
     """Standard oriented tree of Theta(1, 2k, 2l) (parity "even"; omits the
     length-1 leg and the 2l-th z-edge) or Theta(1, 2k, 2l+1) (parity "odd";
     omits the length-1 leg and the middle z-edge), edges listed y-path first
-    then z-path, all directed bottom to top."""
+    then z-path, all directed bottom to top.  Its host is ``tree.graph``."""
     k, l = _theta1_params(k, l, parity)
     gamma = 2 * l if parity == "even" else 2 * l + 1
     spec = ThetaSpec(1, 2 * k, gamma)
-    g = make_theta(spec)
     y_path = spec.path_vertices("y")
     z_path = spec.path_vertices("z")
     y_edges = list(zip(y_path, y_path[1:]))
@@ -143,7 +142,7 @@ def theta1_tree(k: int, l: int, parity: str) -> tuple[Graph, OrientedTree]:
         tree = y_edges + z_edges[: 2 * l - 1]  # drop the last z-edge
     else:
         tree = y_edges + z_edges[:l] + z_edges[l + 1:]  # drop the middle z-edge
-    return g, OrientedTree(g, tuple(tree))
+    return OrientedTree(make_theta(spec), tuple(tree))
 
 
 WITNESS_VALUE = 16272

@@ -248,52 +248,40 @@ class ThetaSpec:
             raise GraphError(f"leg lengths must be integers, got {text!r}") from None
         return cls(*legs)
 
-    def _leg_length(self, kind: str) -> int:
-        return {"x": self.alpha, "y": self.beta, "z": self.gamma}[kind]
+    def path_vertices(self, kind: str) -> tuple[int, ...]:
+        """Vertex indices along leg "x", "y" or "z", bottom junction to top.
 
-    def _interior_base(self, kind: str) -> int:
-        # interior vertices sit after the two junctions, grouped x then y then z
+        The one statement of the vertex layout: junctions 0 (bottom) and 1
+        (top), then the interior vertices in path order, legs grouped x, y, z.
+        """
         if kind == "x":
-            return 2
-        if kind == "y":
-            return self.alpha + 1
-        return self.alpha + self.beta
+            base, length = 2, self.alpha
+        elif kind == "y":
+            base, length = self.alpha + 1, self.beta
+        elif kind == "z":
+            base, length = self.alpha + self.beta, self.gamma
+        else:
+            raise GraphError(f"leg must be 'x', 'y' or 'z', got {kind!r}")
+        return (0, *range(base, base + length - 1), 1)
 
     def vertex_index(self, name: str) -> int:
-        """Index of a path-position name such as "x0", "y2" or "z11".
-
-        Position 0 on every leg is the bottom junction (index 0) and the full
-        leg length is the top junction (index 1); interior positions follow in
-        path order, legs grouped x, y, z.
-        """
+        """Index of a path-position name such as "x0", "y2" or "z11": entry j
+        of ``path_vertices`` for the leg the letter names."""
         name = name.strip()
         kind, digits = name[:1], name[1:]
         if kind not in ("x", "y", "z") or not digits.isdigit():
             raise GraphError(f"invalid theta vertex name {name!r}")
-        j = int(digits)
-        length = self._leg_length(kind)
-        if j > length:
-            raise GraphError(f"position {name!r} exceeds leg length {length}")
-        if j == 0:
-            return 0
-        if j == length:
-            return 1
-        return self._interior_base(kind) + j - 1
-
-    def path_vertices(self, kind: str) -> tuple[int, ...]:
-        """Vertex indices along one leg, bottom junction to top junction."""
-        if kind not in ("x", "y", "z"):
-            raise GraphError(f"leg must be 'x', 'y' or 'z', got {kind!r}")
-        length = self._leg_length(kind)
-        base = self._interior_base(kind)
-        return (0, *range(base, base + length - 1), 1)
+        path, j = self.path_vertices(kind), int(digits)
+        if j >= len(path):
+            raise GraphError(f"position {name!r} exceeds leg length {len(path) - 1}")
+        return path[j]
 
 
 def make_theta(spec: ThetaSpec) -> Graph:
     """Theta graph of a ThetaSpec.
 
     Vertex 0 and 1 are the junctions of degree 3; interior vertices follow in
-    path order along the x, y and z legs (see ThetaSpec.vertex_index).
+    path order along the x, y and z legs (see ThetaSpec.path_vertices).
     """
     edges = []
     for kind in ("x", "y", "z"):
@@ -327,6 +315,24 @@ def _data_lines(text: str):
             yield line
 
 
+def _int_pairs(lines, error, pair: str, what: str) -> tuple[tuple[int, int], ...]:
+    """The integer pair on each line, for the edge-list and tree-file formats.
+
+    A line without exactly two fields raises ``error`` with "expected 'u v'
+    on edge line" (pair "u v", what "edge"); a field that is not an integer
+    raises it with "edge endpoints must be integers"."""
+    pairs = []
+    for line in lines:
+        parts = line.split()
+        if len(parts) != 2:
+            raise error(f"expected {pair!r} on {what} line, got {line!r}")
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise error(f"{what} endpoints must be integers, got {line!r}") from None
+    return tuple(pairs)
+
+
 def parse_edgelist(text: str) -> Graph:
     """Parse the edge-list format: first line the vertex count, then one
     "u v" pair per line; '#' starts a comment and blank lines are skipped."""
@@ -337,16 +343,7 @@ def parse_edgelist(text: str) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise GraphError(f"first line must be the vertex count, got {lines[0]!r}") from None
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"expected 'u v' on edge line, got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise GraphError(f"edge endpoints must be integers, got {line!r}") from None
-    return Graph(n, tuple(edges))
+    return Graph(n, _int_pairs(lines[1:], GraphError, "u v", "edge"))
 
 
 def read_edgelist(path) -> Graph:

@@ -4,18 +4,16 @@ The float route uses LAPACK's symmetric eigensolver through numpy.  The exact
 route scales a rational matrix to integers, splits the index set into the
 irreducible blocks of the nonzero pattern, decides a 1 x 1 block by the sign
 of its entry, and runs one iterative fraction-free (Bareiss) symmetric
-elimination with diagonal pivoting on each larger block: on an int64 array
-for a block of _NUMPY_MIN_DIM rows or more while its entries stay below
-2**31 in magnitude (a running bound on them is rescanned only when it
-reaches 2**31), over Python ints on the lower triangle past that bound and
-for smaller blocks.  That decides positive semidefiniteness without any
-tolerance and produces an explicit negativity certificate when the answer
-is no: a failing block's certificate padded with zeros.  Exact conditional
-negative definiteness reduces the distance matrix over differences
-e_i - e_a(i), where a(i) is the cut vertex through which the biconnected
-block of i hangs toward a central vertex r, so the reduction splits into
-one irreducible block per biconnected block of the graph, and a bridge
-into a 1 x 1 block.
+elimination with diagonal pivoting on each larger block, over Python ints
+or, for a block of _NUMPY_MIN_DIM rows or more, on an int64 array handed
+to the Python-int loop before it could overflow (see _bareiss_int64).
+That decides positive semidefiniteness without any tolerance and produces
+an explicit negativity certificate when the answer is no: a failing block's
+certificate padded with zeros.  Exact conditional negative definiteness
+reduces the distance matrix over differences e_i - e_a(i), where a(i) is
+the cut vertex through which the biconnected block of i hangs toward a
+central vertex r, so the reduction splits into one irreducible block per
+biconnected block of the graph, and a bridge into a 1 x 1 block.
 """
 
 from __future__ import annotations
@@ -354,13 +352,11 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     certificate on the live block, lifted back through the stored pivot
     columns: x_k = -(col_k . v) / p, scaled by p to stay integral.
 
-    A block of at least _NUMPY_MIN_DIM rows with int64 entries is
-    eliminated as one int64 array while its entries stay below 2**31 in
-    magnitude (checked against a running bound, rescanned only when the
-    bound reaches 2**31) and goes on over Python ints past that; a smaller
-    block, or one with larger entries, runs over Python ints on its lower
-    triangle throughout.  Both give the same pivots and the same
-    certificate.
+    A block of at least _NUMPY_MIN_DIM rows with int64 entries goes to
+    _bareiss_int64, which hands it to the Python-int loop before its
+    entries could leave int64; a smaller block, or one with larger entries,
+    runs over Python ints on its lower triangle throughout.  Both give the
+    same pivots and the same certificate.
     """
     for block in _irreducible_blocks(a):
         if len(block) == 1:

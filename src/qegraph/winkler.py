@@ -27,7 +27,7 @@ import numpy as np
 
 from . import spectra
 from .config import DEFAULT_TOLERANCES, require_int
-from .graphs import Graph, GraphError, _bfs_row, _data_lines, distance_matrix
+from .graphs import Graph, GraphError, _bfs_row, _data_lines, _int_pairs, distance_matrix
 
 __all__ = [
     "TreeError",
@@ -202,19 +202,16 @@ def build_theta1_block_kernel(k: int, l: int, parity: str) -> KernelMatrix:
                     a[i, j] = -1
         return a
 
+    bk = 2 * k  # start of the c-blocks, after the 2k rows of the b-block
+    dim = bk + 2 * l - 1 if parity == "even" else bk + 2 * l
+    m = 2 * np.eye(dim, dtype=np.int64)
+    m[0:k, k:bk] = band(k, k)       # b_1..b_k with b_{k+1}..b_{2k}
     if parity == "even":
-        dim = 2 * k + 2 * l - 1
-        m = 2 * np.eye(dim, dtype=np.int64)
-        bk, ck = 2 * k, 2 * k + l  # starts of the c-blocks
-        m[0:k, k:2 * k] = band(k, k)
+        ck = bk + l  # start of the second c-block
         m[bk:bk + l, ck:ck + l - 1] = band(l, l - 1)
         m[k - 1, ck] = 1                # b_k with c_{l+1}
         m[k, bk + l - 1] = 1            # b_{k+1} with c_l
     else:
-        dim = 2 * k + 2 * l
-        m = 2 * np.eye(dim, dtype=np.int64)
-        bk = 2 * k
-        m[0:k, k:2 * k] = band(k, k)
         for i in range(l):
             m[bk + i, bk + l + i] = -2  # c_i with c_{i+l+1}
     # couplings were written above the diagonal only
@@ -281,16 +278,7 @@ def parse_tree_text(text: str, g: Graph) -> OrientedTree:
     """Parse a tree override for g: one directed edge "a b" per line, order
     significant; '#' comments and blank lines allowed.  The edges must form a
     spanning tree of g (TreeError otherwise)."""
-    tree = []
-    for line in _data_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise TreeError(f"expected 'a b' on tree line, got {line!r}")
-        try:
-            tree.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise TreeError(f"tree endpoints must be integers, got {line!r}") from None
-    return OrientedTree(g, tuple(tree))
+    return OrientedTree(g, _int_pairs(_data_lines(text), TreeError, "a b", "tree"))
 
 
 def read_tree_file(path, g: Graph) -> OrientedTree:

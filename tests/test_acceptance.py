@@ -42,8 +42,8 @@ SEED = 20260813
 
 
 def _reference_kernel_spectrum(spec: ThetaSpec) -> tuple[np.ndarray, np.ndarray]:
-    g = make_theta(spec)
-    kern = winkler_kernel(g, fixtures.reference_tree(spec, g))
+    tree = fixtures.reference_tree(spec)
+    kern = winkler_kernel(tree.graph, tree)
     return kern.two_k, eigen_sym(kern.two_k).eigenvalues
 
 
@@ -131,8 +131,8 @@ def test_c08_block_kernels_match_tree_kernels_and_gershgorin():
         for l in range(k, 7):
             for parity in ("even", "odd"):
                 block = build_theta1_block_kernel(k, l, parity).two_k
-                g, tree = fixtures.theta1_tree(k, l, parity)
-                assert np.array_equal(winkler_kernel(g, tree).two_k, block)
+                tree = fixtures.theta1_tree(k, l, parity)
+                assert np.array_equal(winkler_kernel(tree.graph, tree).two_k, block)
                 assert (np.diag(block) == 2).all()
                 off_row = np.abs(block).sum(axis=1) - 2
                 assert (off_row <= 2).all(), (k, l, parity)

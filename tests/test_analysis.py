@@ -237,8 +237,8 @@ class TestIntegerArguments:
         np_args[at] = np.int32(args[at])
 
         def comparable(x):
-            if isinstance(x, tuple) and isinstance(x[-1], OrientedTree):
-                return x[-1].tree_edges
+            if isinstance(x, OrientedTree):
+                return x.tree_edges
             if hasattr(x, "two_k"):
                 return x.two_k.tolist()
             if hasattr(x, "rows"):
@@ -435,11 +435,69 @@ def tree_two_k(d: np.ndarray, tree) -> np.ndarray:
     return d[np.ix_(a, b)] - d[np.ix_(a, a)] - d[np.ix_(b, b)] + d[np.ix_(b, a)]
 
 
+# factor kind -> (whether it is of QE class, the parity its vertex count
+# needs or None); the thetas' classes are the closed form's
+PRODUCT_FACTORS = {
+    "path": (True, None),
+    "odd-cycle": (True, 1),
+    "star": (True, None),
+    "tree": (True, None),
+    "theta(1,even,even)": (True, 0),
+    "theta(2,2,c)": (False, None),
+    "theta(2,3,even)": (False, 0),
+    "theta(3,b,c)": (False, None),
+}
+
+
+def factor_graph(rng: random.Random, kind: str, m: int) -> Graph:
+    """A graph of one PRODUCT_FACTORS kind on m >= 10 vertices."""
+    if kind == "path":
+        return make_path(m)
+    if kind == "odd-cycle":
+        return make_cycle(m)
+    if kind == "star":
+        return Graph(m, tuple((0, v) for v in range(1, m)))
+    if kind == "tree":
+        return Graph(m, tuple((rng.randrange(v), v) for v in range(1, m)))
+    if kind == "theta(1,even,even)":
+        j = rng.randint(1, m // 2 - 1)
+        return make_theta(ThetaSpec(1, 2 * j, m - 2 * j))
+    if kind == "theta(2,2,c)":
+        return make_theta(ThetaSpec(2, 2, m - 3))
+    if kind == "theta(2,3,even)":
+        return make_theta(ThetaSpec(2, 3, m - 4))
+    b = rng.randint(3, m - 5)
+    return make_theta(ThetaSpec(3, b, m - 2 - b))
+
+
+def product_factors(rng: random.Random, left: str, right: str) -> list[tuple[Graph, bool]]:
+    """One graph of each factor kind, with whether it is of QE class, each of
+    10-30 vertices and together 100-300.  (A thin product such as 3 x 97
+    takes up to ten times as long to decide exactly as a square one.)"""
+
+    def fits(kind, m):
+        parity = PRODUCT_FACTORS[kind][1]
+        return parity is None or m % 2 == parity
+
+    while True:
+        m = rng.randint(10, 30)
+        sizes = [k for k in range(max(10, -(-100 // m)), min(30, 300 // m) + 1) if fits(right, k)]
+        if fits(left, m) and sizes:
+            break
+    factors = []
+    for kind, size in ((left, m), (right, rng.choice(sizes))):
+        g = factor_graph(rng, kind, size)
+        assert g.n == size
+        factors.append((g, PRODUCT_FACTORS[kind][0]))
+    return factors
+
+
 class TestCartesianProduct:
     # G □ H is QE iff both G and H are (Obata and Zakiyyah, Electron. J.
-    # Graph Theory Appl. 6 (2018) 37-60): a metamorphic identity at 50-110
-    # vertices, checked against the factors' exact verdicts, with every
-    # certificate and embedding re-checked against Floyd-Warshall.
+    # Graph Theory Appl. 6 (2018) 37-60): a metamorphic identity, at 50-110
+    # vertices against the factors' exact verdicts, with every certificate
+    # and embedding re-checked against Floyd-Warshall, and at 100-300
+    # vertices against the factors' known classes.
     @pytest.mark.parametrize(
         "left, right",
         [
@@ -478,6 +536,33 @@ class TestCartesianProduct:
         else:
             x = np.array(x)
             assert float(x @ tree_two_k(d, tree) @ x) < 0
+
+    @given(
+        st.sampled_from(sorted(PRODUCT_FACTORS)),
+        st.sampled_from(sorted(PRODUCT_FACTORS)),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_auto_verdicts_are_the_and_of_the_factors_at_scale(self, left, right, seed):
+        # the same identity at the north-star sizes, 100-300 vertices: both
+        # routes decide in auto mode, and each negative certificate, of ints
+        # when exact and of floats otherwise, is re-checked against
+        # Floyd-Warshall distances
+        rng = random.Random(seed)
+        (g, g_qe), (h, h_qe) = product_factors(rng, left, right)
+        prod = cartesian_product(g, h)
+        assert 100 <= prod.n <= 300
+        want = g_qe and h_qe
+        s = classify_schoenberg(prod, mode="auto")
+        w = classify_winkler(prod, mode="auto")
+        assert s.is_qe == w.is_qe == want, (left, right, g.n, h.n, s.mode_used, w.mode_used)
+        if want:
+            return
+        d = floyd_warshall(prod)
+        f = np.array(s.evidence["certificate"], dtype=object if s.mode_used == "exact" else float)
+        assert abs(f.sum()) <= 1e-8 and f @ d @ f > 0
+        x = np.array(w.evidence["certificate"], dtype=object if w.mode_used == "exact" else float)
+        assert x @ tree_two_k(d, default_orientation_and_tree(prod).tree_edges) @ x < 0
 
 
 def witness_vector(k: int) -> tuple[ThetaSpec, np.ndarray]:

@@ -16,16 +16,33 @@ import pytest
 import qegraph
 from qegraph import (
     Graph,
+    GraphError,
     QeVerdict,
+    TreeError,
     cli,
     default_orientation_and_tree,
     distance_matrix,
     make_cycle,
+    make_path,
+    parse_edgelist,
+    parse_tree_text,
     winkler_kernel,
 )
 from qegraph.cli import main
 
 from conftest import floyd_warshall, int_form, run_python
+
+
+# (file kind, bad line, error type, message): three fields, one field, and a
+# non-integer endpoint, for the edge-list and the tree-file format
+BAD_PAIR_LINES = [
+    ("edge", "0 1 2", GraphError, "expected 'u v' on edge line, got '0 1 2'"),
+    ("edge", "0", GraphError, "expected 'u v' on edge line, got '0'"),
+    ("edge", "1 x", GraphError, "edge endpoints must be integers, got '1 x'"),
+    ("tree", "0 1 2", TreeError, "expected 'a b' on tree line, got '0 1 2'"),
+    ("tree", "0", TreeError, "expected 'a b' on tree line, got '0'"),
+    ("tree", "1 x", TreeError, "tree endpoints must be integers, got '1 x'"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +204,25 @@ class TestClassify:
         code, out, err = run_cli(capsys, command, "theta:2,3,3", "--tree", str(tree_file))
         assert code == 2 and out == ""
         assert err == "error: tree edge (0, 1) is not a host edge\n"
+
+    @pytest.mark.parametrize("kind, line, error, message", BAD_PAIR_LINES)
+    def test_bad_pair_line_exit_2(self, capsys, tmp_path, kind, line, error, message):
+        # the edge-list and tree-file parsers share one pair-line rule; each
+        # bad line raises the file kind's own error with its own text, and
+        # reaches the user as one error: line
+        good = "3\n0 1\n" if kind == "edge" else "0 1\n"
+        text = f"{good}{line}\n"
+        with pytest.raises(error) as exc:
+            if kind == "edge":
+                parse_edgelist(text)
+            else:
+                parse_tree_text(text, make_path(3))
+        assert type(exc.value) is error and str(exc.value) == message
+        path = tmp_path / f"bad.{kind}"
+        path.write_text(text)
+        argv = [str(path)] if kind == "edge" else ["path:3", "--tree", str(path)]
+        code, out, err = run_cli(capsys, "classify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_mode_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("QEGRAPH_MODE", "exact")
@@ -370,6 +406,38 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         payload = json.loads(out)
         assert payload["passed"] == payload["total"] == 12
+
+    def test_check_names_and_details(self, capsys):
+        # None stands for the spectrum checks' detail, whose digits depend
+        # on the BLAS build
+        want = [
+            ("kernel-2-3-3-matrix", "2K matches the stored 6x6 integer matrix"),
+            ("spectrum-2-3-3", None),
+            ("spectrum-2-3-5", None),
+            ("spectrum-2-3-7", None),
+            ("block-kernel-even", "tree kernels equal block forms for 15 even-leg graphs"),
+            ("block-kernel-odd", "tree kernels equal block forms for 15 odd-leg graphs"),
+            (
+                "block-kernel-gershgorin",
+                "unit-diagonal halves have off-diagonal row sums at most 1",
+            ),
+            ("witness-value", "witness form equals 16272 for k = 1..50"),
+            ("witness-decomposition", "witness kills the k-dependent block and fixes the value"),
+            ("theorem-sweep-18", "all 187 theta graphs up to 18 vertices agree"),
+            ("corollary-qec-bounds", "length-1-leg constants sit in their closed-form brackets"),
+            ("cycle-qec", "cycle constants match closed forms for 3 <= m <= 15"),
+        ]
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        results = json.loads(out)["results"]
+        assert code == 0
+        assert [r["name"] for r in results] == [name for name, _ in want]
+        for r, (name, detail) in zip(results, want):
+            pattern = (
+                r"spectrum matches closed forms, max error \S+"
+                if detail is None
+                else re.escape(detail)
+            )
+            assert r["passed"] and re.fullmatch(pattern, r["detail"]), (name, r["detail"])
 
 
 class TestSweepCommand:

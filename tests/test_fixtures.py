@@ -35,8 +35,8 @@ class TestReferenceMatrices:
             assert m.shape == (dim, dim)
             assert (m == m.T).all()
             assert (np.diag(m) == 2).all()
-            g = make_theta(spec)
-            assert np.array_equal(winkler_kernel(g, fixtures.reference_tree(spec, g)).two_k, m)
+            tree = fixtures.reference_tree(spec)
+            assert np.array_equal(winkler_kernel(tree.graph, tree).two_k, m)
 
     def test_spectra_descending_nonnegative_with_zero(self):
         for spec in fixtures.QE_THETA_SPECS:
@@ -56,21 +56,21 @@ class TestReferenceMatrices:
 
 class TestTheta1Trees:
     def test_structure_even(self):
-        g, tree = fixtures.theta1_tree(2, 3, "even")
-        assert g == make_theta(ThetaSpec(1, 4, 6))
-        assert len(tree.tree_edges) == g.n - 1
+        tree = fixtures.theta1_tree(2, 3, "even")
+        assert tree.graph == make_theta(ThetaSpec(1, 4, 6))
+        assert len(tree.tree_edges) == tree.graph.n - 1
         omitted = omitted_edges(tree)
         assert (0, 1) in omitted and len(omitted) == 2
 
     def test_structure_odd(self):
-        g, tree = fixtures.theta1_tree(2, 2, "odd")
-        assert g == make_theta(ThetaSpec(1, 4, 5))
+        tree = fixtures.theta1_tree(2, 2, "odd")
+        assert tree.graph == make_theta(ThetaSpec(1, 4, 5))
         omitted = omitted_edges(tree)
         assert (0, 1) in omitted and len(omitted) == 2
 
     def test_kernel_dimension_matches_block_form(self):
         for parity, dim in (("even", 2 * 2 + 2 * 3 - 1), ("odd", 2 * 2 + 2 * 3)):
-            _, tree = fixtures.theta1_tree(2, 3, parity)
+            tree = fixtures.theta1_tree(2, 3, parity)
             assert winkler_kernel(tree.graph, tree).dim == dim
 
     def test_validation(self):

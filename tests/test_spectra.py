@@ -74,8 +74,8 @@ def closed_form_spectra():
         a = np.ones((n, n)) - np.eye(n)
         cases.append((a, np.array([n - 1.0] + [-1.0] * (n - 1))))  # complete K_n
     for spec in fixtures.QE_THETA_SPECS:
-        g = make_theta(spec)
-        kern = winkler_kernel(g, fixtures.reference_tree(spec, g))
+        tree = fixtures.reference_tree(spec)
+        kern = winkler_kernel(tree.graph, tree)
         cases.append((kern.two_k, fixtures.reference_spectrum(spec)))
     return cases
 
