@@ -147,22 +147,40 @@ def embedding_error(vectors: np.ndarray, g: Graph) -> float:
 def part_graph(rng: random.Random, kind: str, m: int) -> tuple[Graph, bool]:
     """A graph of one kind on m vertices, and whether it is of QE class.
     Kinds of QE class: "cycle" (m >= 3), "path" (m >= 1), "star" (m >= 2)
-    and "theta1-even", Theta(1, 2k, 2l) on an even m >= 4.  Kind "theta"
-    (m >= 4) is a theta with a first leg of 1 to 3, whose class the closed
-    form gives."""
+    and "tree", a random tree (m >= 1).  Theta kinds: "theta1-even",
+    Theta(1, 2k, 2l) on an even m >= 4; "theta-2-2", Theta(2, 2, m - 3)
+    (m >= 5); "theta-2-3-even", Theta(2, 3, m - 4) on an even m >= 6;
+    "theta-3", Theta(3, b, c) (m >= 8); and "theta" (m >= 4), a theta with a
+    first leg of 1 to 3.  A theta's class is the closed form's."""
     if kind == "cycle":
         return make_cycle(m), True
     if kind == "path":
         return make_path(m), True
     if kind == "star":
         return Graph(m, tuple((0, v) for v in range(1, m))), True
+    if kind == "tree":
+        return Graph(m, tuple((rng.randrange(v), v) for v in range(1, m))), True
     if kind == "theta1-even":
         k = rng.randint(1, m // 2 - 1)
-        return make_theta(ThetaSpec(1, 2 * k, m - 2 * k)), True
-    a = rng.randint(1, min(3, m - 3))
-    b = rng.randint(2, m - a - 1)
-    spec = ThetaSpec(a, b, m + 1 - a - b)
+        spec = ThetaSpec(1, 2 * k, m - 2 * k)
+    elif kind == "theta-2-2":
+        spec = ThetaSpec(2, 2, m - 3)
+    elif kind == "theta-2-3-even":
+        spec = ThetaSpec(2, 3, m - 4)
+    elif kind == "theta-3":
+        b = rng.randint(3, m - 5)
+        spec = ThetaSpec(3, b, m - 2 - b)
+    else:
+        a = rng.randint(1, min(3, m - 3))
+        b = rng.randint(2, m - a - 1)
+        spec = ThetaSpec(a, b, m + 1 - a - b)
     return make_theta(spec), classify_theta_closed_form(spec).is_qe
+
+
+def part_size(kind: str, m: int) -> int:
+    """m, or its neighbour of the parity the part_graph kind needs: odd for
+    "cycle", even for the "-even" kinds."""
+    return m | 1 if kind == "cycle" else m & ~1 if kind.endswith("-even") else m
 
 
 def glued_parts(

@@ -48,6 +48,8 @@ from conftest import (
     glued_parts,
     is_connected,
     is_isometric,
+    part_graph,
+    part_size,
     random_connected_graph,
     random_sparse_graph,
     run_python,
@@ -405,7 +407,7 @@ class TestVertexGluing:
         k, sizes = len(kinds), []
         for kind in kinds:
             m = rng.randint(100 // k + 2, 300 // k - 1)
-            sizes.append(m | 1 if kind == "cycle" else m & ~1 if kind == "theta1-even" else m)
+            sizes.append(part_size(kind, m))
         g, parts = glued_parts(rng, kinds, sizes)
         assert 100 <= g.n <= 300
         want = all(qe for _, _, qe in parts)
@@ -435,61 +437,12 @@ def tree_two_k(d: np.ndarray, tree) -> np.ndarray:
     return d[np.ix_(a, b)] - d[np.ix_(a, a)] - d[np.ix_(b, b)] + d[np.ix_(b, a)]
 
 
-# factor kind -> (whether it is of QE class, the parity its vertex count
-# needs or None); the thetas' classes are the closed form's
-PRODUCT_FACTORS = {
-    "path": (True, None),
-    "odd-cycle": (True, 1),
-    "star": (True, None),
-    "tree": (True, None),
-    "theta(1,even,even)": (True, 0),
-    "theta(2,2,c)": (False, None),
-    "theta(2,3,even)": (False, 0),
-    "theta(3,b,c)": (False, None),
-}
-
-
-def factor_graph(rng: random.Random, kind: str, m: int) -> Graph:
-    """A graph of one PRODUCT_FACTORS kind on m >= 10 vertices."""
-    if kind == "path":
-        return make_path(m)
-    if kind == "odd-cycle":
-        return make_cycle(m)
-    if kind == "star":
-        return Graph(m, tuple((0, v) for v in range(1, m)))
-    if kind == "tree":
-        return Graph(m, tuple((rng.randrange(v), v) for v in range(1, m)))
-    if kind == "theta(1,even,even)":
-        j = rng.randint(1, m // 2 - 1)
-        return make_theta(ThetaSpec(1, 2 * j, m - 2 * j))
-    if kind == "theta(2,2,c)":
-        return make_theta(ThetaSpec(2, 2, m - 3))
-    if kind == "theta(2,3,even)":
-        return make_theta(ThetaSpec(2, 3, m - 4))
-    b = rng.randint(3, m - 5)
-    return make_theta(ThetaSpec(3, b, m - 2 - b))
-
-
-def product_factors(rng: random.Random, left: str, right: str) -> list[tuple[Graph, bool]]:
-    """One graph of each factor kind, with whether it is of QE class, each of
-    10-30 vertices and together 100-300.  (A thin product such as 3 x 97
-    takes up to ten times as long to decide exactly as a square one.)"""
-
-    def fits(kind, m):
-        parity = PRODUCT_FACTORS[kind][1]
-        return parity is None or m % 2 == parity
-
-    while True:
-        m = rng.randint(10, 30)
-        sizes = [k for k in range(max(10, -(-100 // m)), min(30, 300 // m) + 1) if fits(right, k)]
-        if fits(left, m) and sizes:
-            break
-    factors = []
-    for kind, size in ((left, m), (right, rng.choice(sizes))):
-        g = factor_graph(rng, kind, size)
-        assert g.n == size
-        factors.append((g, PRODUCT_FACTORS[kind][0]))
-    return factors
+# the factor kinds of part_graph: of QE class path, odd cycle, star, random
+# tree and Theta(1, even, even); not, Theta(2, 2, c), Theta(2, 3, even) and
+# Theta(3, b, c)
+PRODUCT_KINDS = (
+    "path", "cycle", "star", "tree", "theta1-even", "theta-2-2", "theta-2-3-even", "theta-3",
+)
 
 
 class TestCartesianProduct:
@@ -538,18 +491,22 @@ class TestCartesianProduct:
             assert float(x @ tree_two_k(d, tree) @ x) < 0
 
     @given(
-        st.sampled_from(sorted(PRODUCT_FACTORS)),
-        st.sampled_from(sorted(PRODUCT_FACTORS)),
+        st.sampled_from(PRODUCT_KINDS),
+        st.sampled_from(PRODUCT_KINDS),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=15, deadline=None)
     def test_auto_verdicts_are_the_and_of_the_factors_at_scale(self, left, right, seed):
-        # the same identity at the north-star sizes, 100-300 vertices: both
-        # routes decide in auto mode, and each negative certificate, of ints
-        # when exact and of floats otherwise, is re-checked against
-        # Floyd-Warshall distances
+        # the same identity at the north-star sizes, 100-300 vertices, of two
+        # factors of 10-17 (a thin product such as 3 x 97 takes up to ten
+        # times as long to decide exactly as a square one).  Both routes
+        # decide in auto mode, and each negative certificate, of ints when
+        # exact and of floats otherwise, is re-checked against Floyd-Warshall
+        # distances
         rng = random.Random(seed)
-        (g, g_qe), (h, h_qe) = product_factors(rng, left, right)
+        (g, g_qe), (h, h_qe) = (
+            part_graph(rng, kind, part_size(kind, rng.randint(10, 16))) for kind in (left, right)
+        )
         prod = cartesian_product(g, h)
         assert 100 <= prod.n <= 300
         want = g_qe and h_qe

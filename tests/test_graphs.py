@@ -306,7 +306,8 @@ class TestFilesAndUris:
     def test_parse_edgelist_comments_and_errors(self):
         g = parse_edgelist("# a triangle\n3\n0 1\n1 2  # last\n0 2\n")
         assert g == make_cycle(3)
-        # bad pair lines: test_cli.py::TestClassify::test_bad_pair_line_exit_2
+        with pytest.raises(GraphError):
+            parse_edgelist("3\n0 1 2\n")
         with pytest.raises(GraphError):
             parse_edgelist("")
         with pytest.raises(GraphError):

@@ -398,8 +398,11 @@ class TestTreeFiles:
         assert again.tree_edges == tree.tree_edges[::-1]
 
     def test_parse_errors(self):
-        # bad pair lines: test_cli.py::TestClassify::test_bad_pair_line_exit_2
         g = make_cycle(4)
+        with pytest.raises(TreeError):
+            parse_tree_text("0 1 2\n", g)
+        with pytest.raises(TreeError):
+            parse_tree_text("0 one\n", g)
         with pytest.raises(TreeError):
             parse_tree_text("0 1\n", g)  # too few edges
         with pytest.raises(TreeError):
