@@ -16,6 +16,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -91,6 +92,15 @@ def _single_vertex(method: str) -> QeVerdict:
     return QeVerdict(method=method, is_qe=True, evidence={"note": "single vertex"})
 
 
+def _route_verdict(method: str, is_qe: bool, verdict, evidence: dict, value) -> QeVerdict:
+    """A matrix route's QeVerdict.  A negative certificate joins the evidence
+    with ``value``, its value as the route reports it (Winkler: K's, half 2K's)."""
+    if verdict.certificate is not None:
+        evidence["certificate"] = list(verdict.certificate)
+        evidence["certificate_value"] = _jsonable(value)
+    return QeVerdict(method=method, is_qe=is_qe, evidence=evidence, mode_used=verdict.mode_used)
+
+
 def classify_theta_closed_form(spec: ThetaSpec) -> QeVerdict:
     """Decide embeddability of a theta graph from its leg lengths alone."""
     a, b, c = spec.normalized().legs
@@ -137,15 +147,9 @@ def classify_schoenberg(
     if g.n == 1:
         return _single_vertex("schoenberg")
     verdict = _schoenberg(g, mode, tol)
-    evidence: dict = {"max_eig_on_ones_complement": _jsonable(verdict.max_eig)}
-    if verdict.certificate is not None:
-        evidence["certificate"] = list(verdict.certificate)
-        evidence["certificate_value"] = _jsonable(verdict.certificate_value)
-    return QeVerdict(
-        method="schoenberg",
-        is_qe=verdict.is_cnd,
-        evidence=evidence,
-        mode_used=verdict.mode_used,
+    evidence = {"max_eig_on_ones_complement": _jsonable(verdict.max_eig)}
+    return _route_verdict(
+        "schoenberg", verdict.is_cnd, verdict, evidence, verdict.certificate_value
     )
 
 
@@ -171,19 +175,13 @@ def classify_winkler(
     # rounding of the bound could decide otherwise, and auto re-decides
     # such a kernel exactly.
     verdict = is_psd(kern.two_k, mode=mode, tol=tol)
-    evidence: dict = {
+    evidence = {
         "kernel_dim": kern.dim,
         "lambda_min": _jsonable(_half(verdict.lambda_min)),
         "lambda_max": _jsonable(_half(verdict.lambda_max)),
     }
-    if verdict.certificate is not None:
-        evidence["certificate"] = list(verdict.certificate)
-        evidence["certificate_value"] = _jsonable(verdict.certificate_value / 2)
-    return QeVerdict(
-        method="winkler",
-        is_qe=verdict.is_psd,
-        evidence=evidence,
-        mode_used=verdict.mode_used,
+    return _route_verdict(
+        "winkler", verdict.is_psd, verdict, evidence, _half(verdict.certificate_value)
     )
 
 
@@ -409,8 +407,9 @@ def _check(name: str, fn) -> FixtureResult:
 
 
 def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureResult, ...]:
-    """Recompute every bundled reference value from scratch and compare."""
-    results = []
+    """Recompute every bundled reference value from scratch and compare: one
+    FixtureResult per entry of the ``checks`` list at the end, in its order."""
+    kl_pairs = tuple((k, l) for k in range(2, 7) for l in range(k, 7))
 
     def kernel_matrix_check():
         spec = fixtures.QE_THETA_SPECS[0]
@@ -424,43 +423,31 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
         )
         return "2K matches the stored 6x6 integer matrix"
 
-    results.append(_check("kernel-2-3-3-matrix", kernel_matrix_check))
+    def spectrum_check(spec):
+        tree = fixtures.reference_tree(spec)
+        kern = winkler_kernel(tree.graph, tree)
+        got = np.linalg.eigvalsh(kern.two_k.astype(float))[::-1]  # descending
+        want = fixtures.reference_spectrum(spec)
+        err = float(np.max(np.abs(got - want)))
+        _require(err <= 1e-9, f"spectrum error {err} exceeds 1e-9")
+        return f"spectrum matches closed forms, max error {err:.2e}"
 
-    for spec in fixtures.QE_THETA_SPECS:
-
-        def spectrum_check(spec=spec):
-            tree = fixtures.reference_tree(spec)
+    def block_check(parity):
+        extra = 0 if parity == "even" else 1
+        for k, l in kl_pairs:
+            tree = fixtures.theta1_tree(k, l, parity)
             kern = winkler_kernel(tree.graph, tree)
-            got = np.linalg.eigvalsh(kern.two_k.astype(float))[::-1]  # descending
-            want = fixtures.reference_spectrum(spec)
-            err = float(np.max(np.abs(got - want)))
-            _require(err <= 1e-9, f"spectrum error {err} exceeds 1e-9")
-            return f"spectrum matches closed forms, max error {err:.2e}"
-
-        name = "spectrum-{}-{}-{}".format(*spec.legs)
-        results.append(_check(name, spectrum_check))
-
-    _KL_PAIRS = tuple((k, l) for k in range(2, 7) for l in range(k, 7))
-
-    for parity, extra in (("even", 0), ("odd", 1)):
-
-        def block_check(parity=parity, extra=extra):
-            for k, l in _KL_PAIRS:
-                tree = fixtures.theta1_tree(k, l, parity)
-                kern = winkler_kernel(tree.graph, tree)
-                block = build_theta1_block_kernel(k, l, parity).two_k
-                _require(
-                    np.array_equal(kern.two_k, block),
-                    f"kernel of Theta(1, {2 * k}, {2 * l + extra}) differs from its "
-                    "block form",
-                )
-            return f"tree kernels equal block forms for {len(_KL_PAIRS)} {parity}-leg graphs"
-
-        results.append(_check(f"block-kernel-{parity}", block_check))
+            block = build_theta1_block_kernel(k, l, parity).two_k
+            _require(
+                np.array_equal(kern.two_k, block),
+                f"kernel of Theta(1, {2 * k}, {2 * l + extra}) differs from its "
+                "block form",
+            )
+        return f"tree kernels equal block forms for {len(kl_pairs)} {parity}-leg graphs"
 
     def gershgorin_check():
         for parity in ("even", "odd"):
-            for k, l in _KL_PAIRS:
+            for k, l in kl_pairs:
                 block = build_theta1_block_kernel(k, l, parity).two_k.astype(float)
                 radius = np.sum(np.abs(block), axis=1) - np.abs(np.diag(block))
                 _require(np.all(np.diag(block) == 2.0), "diagonal is not 2")
@@ -470,8 +457,6 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
                 )
         return "unit-diagonal halves have off-diagonal row sums at most 1"
 
-    results.append(_check("block-kernel-gershgorin", gershgorin_check))
-
     def witness_value_check():
         for k in range(1, 51):
             value = witness_quadratic_form(k)
@@ -480,8 +465,6 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
                 f"witness value {value} at k={k}, expected {fixtures.WITNESS_VALUE}",
             )
         return f"witness form equals {fixtures.WITNESS_VALUE} for k = 1..50"
-
-    results.append(_check("witness-value", witness_value_check))
 
     def witness_decomposition_check():
         coeffs = np.array(fixtures.WITNESS_COEFFS, dtype=np.int64)
@@ -499,8 +482,6 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
         )
         return "witness kills the k-dependent block and fixes the value"
 
-    results.append(_check("witness-decomposition", witness_decomposition_check))
-
     def sweep_check():
         report = classification_sweep(max_vertices=18, mode="auto", tol=tol)
         _require(report.all_consistent, "decision routes disagree on some theta graph")
@@ -509,8 +490,6 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
         want |= {(2, 3, 3), (2, 3, 5), (2, 3, 7)}
         _require(got == want, f"embeddable set mismatch: {sorted(got ^ want)}")
         return f"all {len(report.rows)} theta graphs up to 18 vertices agree"
-
-    results.append(_check("theorem-sweep-18", sweep_check))
 
     def corollary_check():
         for beta, gamma in ((2, 2), (2, 4), (4, 6), (3, 3), (2, 5), (3, 6), (5, 7)):
@@ -523,8 +502,6 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
             )
         return "length-1-leg constants sit in their closed-form brackets"
 
-    results.append(_check("corollary-qec-bounds", corollary_check))
-
     def cycle_check():
         for m in range(3, 16):
             value = qec(make_cycle(m), tol=tol).value
@@ -535,6 +512,18 @@ def run_reference_suite(tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[FixtureRe
             )
         return "cycle constants match closed forms for 3 <= m <= 15"
 
-    results.append(_check("cycle-qec", cycle_check))
-
-    return tuple(results)
+    checks = [
+        ("kernel-2-3-3-matrix", kernel_matrix_check),
+        ("spectrum-2-3-3", partial(spectrum_check, fixtures.QE_THETA_SPECS[0])),
+        ("spectrum-2-3-5", partial(spectrum_check, fixtures.QE_THETA_SPECS[1])),
+        ("spectrum-2-3-7", partial(spectrum_check, fixtures.QE_THETA_SPECS[2])),
+        ("block-kernel-even", partial(block_check, "even")),
+        ("block-kernel-odd", partial(block_check, "odd")),
+        ("block-kernel-gershgorin", gershgorin_check),
+        ("witness-value", witness_value_check),
+        ("witness-decomposition", witness_decomposition_check),
+        ("theorem-sweep-18", sweep_check),
+        ("corollary-qec-bounds", corollary_check),
+        ("cycle-qec", cycle_check),
+    ]
+    return tuple(_check(name, fn) for name, fn in checks)

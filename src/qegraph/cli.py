@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import analysis
@@ -75,11 +76,20 @@ def _add_output(parser: argparse.ArgumentParser, formats=("text", "json")) -> No
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out_path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+
+
+def _report(args: argparse.Namespace, payload: dict, text) -> None:
+    """Write a command's report through ``_emit``: ``payload`` as indented
+    JSON under ``--format json``, else the string ``text()`` returns.  text
+    is a callable, so the text form is built only when it is written."""
+    _emit(json.dumps(payload, indent=2) if args.format == "json" else text(), args.out)
 
 
 def _format_entry(x) -> str:
@@ -139,8 +149,8 @@ def _decision(verdicts) -> tuple[str, int]:
     return verdicts[0].decision, EXIT_QE if verdicts[0].is_qe else EXIT_NON_QE
 
 
-def _classify_json(args, g, verdicts, decision: str) -> str:
-    payload = {
+def _classify_payload(args, g, verdicts, decision: str) -> dict:
+    return {
         "graph": args.graph,
         "n": g.n,
         "edges": [list(e) for e in g.edges],
@@ -158,7 +168,6 @@ def _classify_json(args, g, verdicts, decision: str) -> str:
         "agreement": decision != "disagreement",
         "decision": decision,
     }
-    return json.dumps(payload, indent=2)
 
 
 def _classify_text(args, g, verdicts, decision: str) -> str:
@@ -184,97 +193,73 @@ def _classify_text(args, g, verdicts, decision: str) -> str:
 def cmd_classify(args: argparse.Namespace) -> int:
     g, verdicts = _verdicts_for(args)
     decision, code = _decision(verdicts)
-    render = _classify_json if args.format == "json" else _classify_text
-    _emit(render(args, g, verdicts, decision), args.out)
+    _report(
+        args,
+        _classify_payload(args, g, verdicts, decision),
+        lambda: _classify_text(args, g, verdicts, decision),
+    )
     return code
 
 
 def cmd_qec(args: argparse.Namespace) -> int:
     g = graph_from_uri(args.graph)
     result = analysis.qec(g, tol=args.tol)
-    if args.format == "json":
-        report = json.dumps(
-            {
-                "graph": args.graph,
-                "n": g.n,
-                "qec": result.value,
-                "is_qe": result.is_qe,
-                "maximizer": list(result.maximizer),
-            },
-            indent=2,
-        )
-    else:
+    payload = {
+        "graph": args.graph,
+        "n": g.n,
+        "qec": result.value,
+        "is_qe": result.is_qe,
+        "maximizer": list(result.maximizer),
+    }
+
+    def text():
         coords = " ".join(f"{x:.8f}" for x in result.maximizer)
-        report = f"{result.value:.8f}\nmaximizer: {coords}"
-    _emit(report, args.out)
+        return f"{result.value:.8f}\nmaximizer: {coords}"
+
+    _report(args, payload, text)
     return EXIT_OK
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     g, tree = _graph_and_tree(args)
     kern = winkler_kernel(g, tree)
-    if args.format == "json":
-        report = json.dumps(
-            {
-                "graph": args.graph,
-                "dim": kern.dim,
-                "two_k": [[int(x) for x in row] for row in kern.two_k],
-            },
-            indent=2,
-        )
-    else:
+    two_k = kern.two_k.tolist()
+
+    def text():
         # K = 2K / 2: reduced rationals p/q in exact mode, decimals otherwise
         if args.mode == "exact":
-            rows = [[Fraction(x, 2) for x in row] for row in kern.two_k.tolist()]
-        else:
-            rows = (kern.two_k / 2.0).tolist()
-        report = format_matrix_text(rows)
-    _emit(report, args.out)
+            return format_matrix_text([[Fraction(x, 2) for x in row] for row in two_k])
+        return format_matrix_text((kern.two_k / 2.0).tolist())
+
+    _report(args, {"graph": args.graph, "dim": kern.dim, "two_k": two_k}, text)
     return EXIT_OK
 
 
 def cmd_distance(args: argparse.Namespace) -> int:
     g = graph_from_uri(args.graph)
-    d = distance_matrix(g)
-    if args.format == "json":
-        report = json.dumps(
-            {"graph": args.graph, "n": g.n, "d": [[int(x) for x in row] for row in d]},
-            indent=2,
-        )
-    else:
-        report = format_matrix_text(d.tolist())
-    _emit(report, args.out)
+    d = distance_matrix(g).tolist()
+    _report(args, {"graph": args.graph, "n": g.n, "d": d}, lambda: format_matrix_text(d))
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = analysis.run_reference_suite(tol=args.tol)
     passed = sum(1 for r in results if r.passed)
-    if args.format == "json":
-        report = json.dumps(
-            {
-                "results": [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                        "elapsed": r.elapsed,
-                    }
-                    for r in results
-                ],
-                "passed": passed,
-                "total": len(results),
-            },
-            indent=2,
-        )
-    else:
+    payload = {
+        "results": [asdict(r) for r in results],  # name, passed, detail, elapsed
+        "passed": passed,
+        "total": len(results),
+    }
+
+    def text():
         lines = [
             f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.elapsed * 1e3:.1f} ms): {r.detail}"
             for r in results
         ]
         lines.append(f"{passed}/{len(results)} fixtures pass")
-        report = "\n".join(lines)
-    _emit(report, args.out)
+        return "\n".join(lines)
+
+    _report(args, payload, text)
     return EXIT_OK if passed == len(results) else EXIT_FAIL
 
 

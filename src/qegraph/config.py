@@ -39,10 +39,11 @@ def validate_mode(mode: str) -> str:
     return mode
 
 
-def require_int(value, name: str) -> int:
+def require_int(value, name: str, error: type[ValueError] = ValueError) -> int:
     """value as an int, accepting numpy integers; a float, a string or any
-    other non-integer raises ValueError instead of being truncated."""
+    other non-integer raises ``error`` (a ValueError subclass), with a
+    message that names the argument, instead of being truncated."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None

@@ -28,102 +28,96 @@ __all__ = [
 
 QE_THETA_SPECS = (ThetaSpec(2, 3, 3), ThetaSpec(2, 3, 5), ThetaSpec(2, 3, 7))
 
-# Directed tree edges in kernel row order; vertices as make_theta numbers
-# them: 0 bottom junction, 1 top junction, 2 x1, 3 y1, 4 y2, then z1, z2, ...
-_TREES = {
-    QE_THETA_SPECS[0]: ((1, 2), (2, 0), (1, 4), (3, 0), (1, 6), (5, 0)),
-    QE_THETA_SPECS[1]: ((1, 2), (2, 0), (1, 4), (3, 0), (1, 8), (8, 7), (6, 5), (5, 0)),
+_ROOT2, _ROOT5 = math.sqrt(2.0), math.sqrt(5.0)
+
+# Per embeddable (2, 3, gamma) theta graph: directed tree edges in kernel row
+# order, 2K over that tree, and the spectrum of 2K in descending order (closed
+# forms).  Vertices as make_theta numbers them: 0 bottom junction, 1 top
+# junction, 2 x1, 3 y1, 4 y2, then z1, z2, ...
+_REFERENCE = {
+    QE_THETA_SPECS[0]: (
+        ((1, 2), (2, 0), (1, 4), (3, 0), (1, 6), (5, 0)),
+        (
+            (2, 0, 0, 1, 0, 1),
+            (0, 2, 1, 0, 1, 0),
+            (0, 1, 2, -1, 0, 1),
+            (1, 0, -1, 2, 1, 0),
+            (0, 1, 0, 1, 2, -1),
+            (1, 0, 1, 0, -1, 2),
+        ),
+        (4.0, 2.0 + _ROOT2, 2.0 + _ROOT2, 2.0 - _ROOT2, 2.0 - _ROOT2, 0.0),
+    ),
+    QE_THETA_SPECS[1]: (
+        ((1, 2), (2, 0), (1, 4), (3, 0), (1, 8), (8, 7), (6, 5), (5, 0)),
+        (
+            (2, 0, 0, 1, 0, 0, 1, 0),
+            (0, 2, 1, 0, 0, 1, 0, 0),
+            (0, 1, 2, -1, 0, 0, 1, 0),
+            (1, 0, -1, 2, 0, 1, 0, 0),
+            (0, 0, 0, 0, 2, 0, -1, -1),
+            (0, 1, 0, 1, 0, 2, 0, -1),
+            (1, 0, 1, 0, -1, 0, 2, 0),
+            (0, 0, 0, 0, -1, -1, 0, 2),
+        ),
+        (4.0, *(2.0 + 2.0 * math.cos(k * math.pi / 9.0) for k in (1, 2, 4, 5, 7, 8)), 0.0),
+    ),
     QE_THETA_SPECS[2]: (
-        (1, 2), (2, 0), (1, 4), (3, 0), (1, 10), (10, 9), (9, 8), (7, 6), (6, 5), (5, 0),
+        ((1, 2), (2, 0), (1, 4), (3, 0), (1, 10), (10, 9), (9, 8), (7, 6), (6, 5), (5, 0)),
+        (
+            (2, 0, 0, 1, 0, 0, 0, 1, 0, 0),
+            (0, 2, 1, 0, 0, 0, 1, 0, 0, 0),
+            (0, 1, 2, -1, 0, 0, 0, 1, 0, 0),
+            (1, 0, -1, 2, 0, 0, 1, 0, 0, 0),
+            (0, 0, 0, 0, 2, 0, 0, -1, -1, 0),
+            (0, 0, 0, 0, 0, 2, 0, 0, -1, -1),
+            (0, 1, 0, 1, 0, 0, 2, 0, 0, -1),
+            (1, 0, 1, 0, -1, 0, 0, 2, 0, 0),
+            (0, 0, 0, 0, -1, -1, 0, 0, 2, 0),
+            (0, 0, 0, 0, 0, -1, -1, 0, 0, 2),
+        ),
+        (
+            4.0,
+            4.0,
+            (5.0 + _ROOT5) / 2.0,
+            3.0,
+            (3.0 + _ROOT5) / 2.0,
+            (5.0 - _ROOT5) / 2.0,
+            1.0,
+            (3.0 - _ROOT5) / 2.0,
+            0.0,
+            0.0,
+        ),
     ),
 }
+
+
+def _reference(spec: ThetaSpec, what: str) -> tuple[ThetaSpec, tuple]:
+    """spec normalized, with its ``_REFERENCE`` entry; a spec without one raises
+    ValueError ``no {what} for ...``.  Legs in any order name the same entry."""
+    spec = spec.normalized()
+    if spec not in _REFERENCE:
+        raise ValueError(f"no {what} for {spec.uri()}")
+    return spec, _REFERENCE[spec]
 
 
 def reference_tree(spec: ThetaSpec) -> OrientedTree:
     """The reference oriented spanning tree for one of the three embeddable
     (2, 3, gamma) theta graphs, checked as any tree from outside is.  Its
-    host, ``tree.graph``, is ``make_theta(spec.normalized())``: legs in any
-    order name the same tree."""
-    spec = spec.normalized()
-    if spec not in _TREES:
-        raise ValueError(f"no bundled tree for {spec.uri()}")
-    return OrientedTree(make_theta(spec), _TREES[spec])
-
-
-_TWO_K_2_3_3 = (
-    (2, 0, 0, 1, 0, 1),
-    (0, 2, 1, 0, 1, 0),
-    (0, 1, 2, -1, 0, 1),
-    (1, 0, -1, 2, 1, 0),
-    (0, 1, 0, 1, 2, -1),
-    (1, 0, 1, 0, -1, 2),
-)
-
-_TWO_K_2_3_5 = (
-    (2, 0, 0, 1, 0, 0, 1, 0),
-    (0, 2, 1, 0, 0, 1, 0, 0),
-    (0, 1, 2, -1, 0, 0, 1, 0),
-    (1, 0, -1, 2, 0, 1, 0, 0),
-    (0, 0, 0, 0, 2, 0, -1, -1),
-    (0, 1, 0, 1, 0, 2, 0, -1),
-    (1, 0, 1, 0, -1, 0, 2, 0),
-    (0, 0, 0, 0, -1, -1, 0, 2),
-)
-
-_TWO_K_2_3_7 = (
-    (2, 0, 0, 1, 0, 0, 0, 1, 0, 0),
-    (0, 2, 1, 0, 0, 0, 1, 0, 0, 0),
-    (0, 1, 2, -1, 0, 0, 0, 1, 0, 0),
-    (1, 0, -1, 2, 0, 0, 1, 0, 0, 0),
-    (0, 0, 0, 0, 2, 0, 0, -1, -1, 0),
-    (0, 0, 0, 0, 0, 2, 0, 0, -1, -1),
-    (0, 1, 0, 1, 0, 0, 2, 0, 0, -1),
-    (1, 0, 1, 0, -1, 0, 0, 2, 0, 0),
-    (0, 0, 0, 0, -1, -1, 0, 0, 2, 0),
-    (0, 0, 0, 0, 0, -1, -1, 0, 0, 2),
-)
+    host, ``tree.graph``, is ``make_theta(spec.normalized())``."""
+    spec, (tree_edges, _, _) = _reference(spec, "bundled tree")
+    return OrientedTree(make_theta(spec), tree_edges)
 
 
 def reference_two_k(spec: ThetaSpec) -> np.ndarray:
     """Known integer matrix 2K over the bundled tree order."""
-    table = {
-        QE_THETA_SPECS[0]: _TWO_K_2_3_3,
-        QE_THETA_SPECS[1]: _TWO_K_2_3_5,
-        QE_THETA_SPECS[2]: _TWO_K_2_3_7,
-    }
-    spec = spec.normalized()
-    if spec not in table:
-        raise ValueError(f"no reference kernel for {spec.uri()}")
-    return np.array(table[spec], dtype=np.int64)
+    _, (_, two_k, _) = _reference(spec, "reference kernel")
+    return np.array(two_k, dtype=np.int64)
 
 
 def reference_spectrum(spec: ThetaSpec) -> np.ndarray:
     """Known spectrum of 2K in descending order (closed forms)."""
-    spec = spec.normalized()
-    root2 = math.sqrt(2.0)
-    root5 = math.sqrt(5.0)
-    if spec == QE_THETA_SPECS[0]:
-        values = [4.0, 2.0 + root2, 2.0 + root2, 2.0 - root2, 2.0 - root2, 0.0]
-    elif spec == QE_THETA_SPECS[1]:
-        values = [4.0]
-        values += [2.0 + 2.0 * math.cos(k * math.pi / 9.0) for k in (1, 2, 4, 5, 7, 8)]
-        values += [0.0]
-    elif spec == QE_THETA_SPECS[2]:
-        values = [
-            4.0,
-            4.0,
-            (5.0 + root5) / 2.0,
-            3.0,
-            (3.0 + root5) / 2.0,
-            (5.0 - root5) / 2.0,
-            1.0,
-            (3.0 - root5) / 2.0,
-            0.0,
-            0.0,
-        ]
-    else:
-        raise ValueError(f"no reference spectrum for {spec.uri()}")
-    return np.array(values)
+    _, (_, _, spectrum) = _reference(spec, "reference spectrum")
+    return np.array(spectrum)
 
 
 def theta1_tree(k: int, l: int, parity: str) -> OrientedTree:

@@ -13,12 +13,13 @@ that stays below 2**24, whatever order BLAS sums in.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .config import require_int
 
 __all__ = [
     "GraphError",
@@ -39,13 +40,6 @@ class GraphError(ValueError):
     """Invalid graph construction, file, or an operation on an unsuitable graph."""
 
 
-def _vertex(value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise GraphError(f"vertex must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1, immutable after construction.
@@ -64,7 +58,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        n = _vertex(self.n)
+        n = require_int(self.n, "vertex count", GraphError)
         if n < 1:
             raise GraphError(f"vertex count must be positive, got {n}")
         object.__setattr__(self, "n", n)
@@ -75,7 +69,7 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise GraphError(f"edge must be a pair of vertices, got {e!r}") from None
-            u, v = _vertex(u), _vertex(v)
+            u, v = require_int(u, "vertex", GraphError), require_int(v, "vertex", GraphError)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
@@ -103,7 +97,7 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = _vertex(u), _vertex(v)
+        u, v = require_int(u, "vertex", GraphError), require_int(v, "vertex", GraphError)
         # a negative u would index the last vertices' neighbours
         return 0 <= u < self.n and v in self._adj[u]
 
@@ -212,7 +206,8 @@ class ThetaSpec:
     gamma: int
 
     def __post_init__(self):
-        legs = tuple([_vertex(x) for x in (self.alpha, self.beta, self.gamma)])  # see Graph._adj
+        legs = (self.alpha, self.beta, self.gamma)
+        legs = tuple([require_int(x, "leg length", GraphError) for x in legs])  # see Graph._adj
         if min(legs) < 1:
             raise GraphError(f"leg lengths must be positive, got {legs}")
         if sum(1 for x in legs if x == 1) > 1:
@@ -292,7 +287,7 @@ def make_theta(spec: ThetaSpec) -> Graph:
 
 def make_path(n: int) -> Graph:
     """Path graph on n >= 1 vertices."""
-    n = _vertex(n)
+    n = require_int(n, "vertex count", GraphError)
     if n < 1:
         raise GraphError(f"path needs at least 1 vertex, got {n}")
     return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
@@ -300,7 +295,7 @@ def make_path(n: int) -> Graph:
 
 def make_cycle(m: int) -> Graph:
     """Cycle graph on m >= 3 vertices."""
-    m = _vertex(m)
+    m = require_int(m, "vertex count", GraphError)
     if m < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {m}")
     edges = [(i, i + 1) for i in range(m - 1)]

@@ -193,14 +193,9 @@ def build_theta1_block_kernel(k: int, l: int, parity: str) -> KernelMatrix:
     and c_{l+1} omitted; k, l >= 2), dimension 2k + 2l.
     """
     k, l = _theta1_params(k, l, parity)
-    # banded coupling between the two halves of an even path
+    # banded coupling between the two halves of an even path: -1 at (i, i), (i, i + 1)
     def band(rows: int, cols: int) -> np.ndarray:
-        a = np.zeros((rows, cols), dtype=np.int64)
-        for i in range(rows):
-            for j in (i, i + 1):
-                if j < cols:
-                    a[i, j] = -1
-        return a
+        return -(np.eye(rows, cols, dtype=np.int64) + np.eye(rows, cols, 1, dtype=np.int64))
 
     bk = 2 * k  # start of the c-blocks, after the 2k rows of the b-block
     dim = bk + 2 * l - 1 if parity == "even" else bk + 2 * l

@@ -423,6 +423,47 @@ class TestVertexGluing:
         assert x @ tree_two_k(d, default_orientation_and_tree(g).tree_edges) @ x < 0
 
 
+class TestRelabelling:
+    # a verdict is a property of the graph, not of its vertex numbering: G
+    # and G^pi, its copy under a random permutation pi of the vertices, get
+    # the same verdicts and Schoenberg form value at 100-300 vertices, and
+    # every certificate of G^pi holds against its own Floyd-Warshall
+    # distances, of ints when exact and of floats otherwise
+    @given(
+        st.sampled_from(
+            ("cycle", "path", "star", "tree", "theta1-even", "theta-2-2", "theta-2-3-even",
+             "theta-3", "theta")
+        ),
+        st.integers(100, 299),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_auto_verdicts_do_not_change_under_relabelling(self, kind, m, seed):
+        rng = random.Random(seed)
+        g, want = part_graph(rng, kind, part_size(kind, m))
+        assert 100 <= g.n <= 300
+        pi = list(range(g.n))
+        rng.shuffle(pi)
+        h = Graph(g.n, tuple((pi[u], pi[v]) for u, v in g.edges))
+        s_g, s_h = (classify_schoenberg(x, mode="auto") for x in (g, h))
+        w_g, w_h = (classify_winkler(x, mode="auto") for x in (g, h))
+        assert s_g.is_qe == s_h.is_qe == w_g.is_qe == w_h.is_qe == want, (kind, g.n)
+        value = s_g.evidence["max_eig_on_ones_complement"]
+        gap = abs(s_h.evidence["max_eig_on_ones_complement"] - value)
+        assert gap <= 1e-9 * max(1.0, abs(value)), (kind, g.n, gap)
+        if want:
+            return
+        d = floyd_warshall(h)
+        f = np.array(
+            s_h.evidence["certificate"], dtype=object if s_h.mode_used == "exact" else float
+        )
+        assert abs(f.sum()) <= 1e-8 and f @ d @ f > 0
+        x = np.array(
+            w_h.evidence["certificate"], dtype=object if w_h.mode_used == "exact" else float
+        )
+        assert x @ tree_two_k(d, default_orientation_and_tree(h).tree_edges) @ x < 0
+
+
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """G □ H on the pairs (u, v), numbered u * h.n + v: (u, v) ~ (u', v')
     when u = u' and v ~ v' in H, or v = v' and u ~ u' in G."""

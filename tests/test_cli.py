@@ -396,8 +396,8 @@ class TestVerifyCommand:
         from qegraph import fixtures
 
         spec = qegraph.ThetaSpec(2, 3, 3)
-        (a, b), *rest = fixtures._TREES[spec]
-        monkeypatch.setitem(fixtures._TREES, spec, ((b, a), *rest))
+        ((a, b), *rest), two_k, spectrum = fixtures._REFERENCE[spec]
+        monkeypatch.setitem(fixtures._REFERENCE, spec, (((b, a), *rest), two_k, spectrum))
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAIL" in out
@@ -478,6 +478,47 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, "sweep", "--max-vertices", "4")
         assert code == 2
         assert "at least 5" in err
+
+
+def mask_elapsed(report: str) -> str:
+    """verify's report with its per-check times masked, in text and JSON."""
+    report = re.sub(r"\(\d+\.\d ms\)", "(… ms)", report)
+    return re.sub(r'"elapsed": [^,\n]+', '"elapsed": …', report)
+
+
+class TestOutFile:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "theta:2,3,5"),
+            ("classify", "theta:2,3,9", "--method", "winkler", "--mode", "exact"),
+            ("qec", "cycle:7"),
+            ("kernel", "theta:2,3,5", "--mode", "exact"),
+            ("kernel", "theta:2,3,5", "--mode", "float"),
+            ("distance", "cycle:7"),
+            ("verify",),
+        ],
+        ids=" ".join,
+    )
+    def test_file_equals_stdout(self, capsys, tmp_path, argv, fmt):
+        argv = (*argv, "--format", fmt)
+        code, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / "report"
+        code_to_file, out_to_file, err = run_cli(capsys, *argv, "--out", str(path))
+        written = path.read_text()
+        assert code_to_file == code and out_to_file == "" and err == ""
+        assert written.endswith("\n") and not written.endswith("\n\n")
+        assert mask_elapsed(written) == mask_elapsed(out)
+
+    def test_json_does_not_render_the_text_form(self, capsys, monkeypatch):
+        def text_form(rows):
+            raise AssertionError("text form rendered under --format json")
+
+        monkeypatch.setattr(cli, "format_matrix_text", text_form)
+        for argv in (("distance", "cycle:201"), ("kernel", "theta:2,3,5")):
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert code == 0 and json.loads(out)["graph"] == argv[1]
 
 
 @pytest.mark.parametrize(

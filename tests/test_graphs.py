@@ -268,6 +268,23 @@ class TestBuilders:
         g = make_theta(ThetaSpec(2, 3, 5))
         assert distance_matrix(g)[0, 1] == 2
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ThetaSpec(2.5, 3, 3), "leg length must be an integer, got 2.5"),
+            (lambda: make_path(2.5), "vertex count must be an integer, got 2.5"),
+            (lambda: make_cycle("5"), "vertex count must be an integer, got '5'"),
+            (lambda: Graph(2.5, ()), "vertex count must be an integer, got 2.5"),
+            (lambda: Graph(3, ((0, 1.5),)), "vertex must be an integer, got 1.5"),
+            (lambda: make_path(3).has_edge(0, "1"), "vertex must be an integer, got '1'"),
+        ],
+        ids=["ThetaSpec", "make_path", "make_cycle", "Graph-n", "Graph-edge", "has_edge"],
+    )
+    def test_non_integer_arguments_are_named(self, call, message):
+        with pytest.raises(GraphError) as err:
+            call()
+        assert str(err.value) == message
+
 
 class TestIsometricEmbedding:
     def test_cycle_in_theta_via_short_leg(self):
