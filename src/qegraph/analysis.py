@@ -124,12 +124,11 @@ def classify_theta_closed_form(spec: ThetaSpec) -> QeVerdict:
 
 def _schoenberg(g: Graph, mode: str, tol: Tolerances) -> CndVerdict:
     """``is_cnd`` on the distance matrix of g, decided once per graph, mode
-    and tolerance and kept on the graph."""
-    key = (mode, tol)
-    verdict = g._cnd.get(key)
+    and tolerance and kept on the graph, in a memo added on first use."""
+    memo = vars(g).setdefault("_cnd", {})  # (mode, tol) -> CndVerdict
+    verdict = memo.get((mode, tol))
     if verdict is None:
-        verdict = is_cnd(distance_matrix(g), mode=mode, tol=tol)
-        g._cnd[key] = verdict
+        verdict = memo[mode, tol] = is_cnd(distance_matrix(g), mode=mode, tol=tol)
     return verdict
 
 
@@ -173,7 +172,8 @@ def classify_winkler(
     # the entries do.  LAPACK's eigenvalues of 2K are twice K's up to the
     # rounding of its tridiagonal solver, so only a lambda_min within that
     # rounding of the bound could decide otherwise, and auto re-decides
-    # such a kernel exactly.
+    # such a kernel exactly.  winkler.reconstruct_embedding relies on the
+    # same scaling when it applies the float rule to 2K.
     verdict = is_psd(kern.two_k, mode=mode, tol=tol)
     evidence = {
         "kernel_dim": kern.dim,
@@ -270,8 +270,7 @@ def witness_quadratic_form(k: int) -> int:
         "base-plus-k-step decomposition",
     )
     coeffs = np.array(fixtures.WITNESS_COEFFS, dtype=object)
-    value = int(coeffs @ sub.astype(object) @ coeffs)
-    return value
+    return int(coeffs @ sub.astype(object) @ coeffs)
 
 
 @dataclass(frozen=True)
@@ -401,7 +400,7 @@ def _check(name: str, fn) -> FixtureResult:
     return FixtureResult(
         name=name,
         passed=passed,
-        detail=detail if isinstance(detail, str) else "",
+        detail=detail,
         elapsed=time.perf_counter() - start,
     )
 

@@ -110,7 +110,7 @@ def format_matrix_text(rows: list[list]) -> str:
 def _graph_and_tree(args: argparse.Namespace):
     g = graph_from_uri(args.graph)
     tree = None
-    if getattr(args, "tree", None) is not None:
+    if args.tree is not None:
         tree = read_tree_file(args.tree, g)
     return g, tree
 
@@ -118,8 +118,8 @@ def _graph_and_tree(args: argparse.Namespace):
 def _verdicts_for(args: argparse.Namespace):
     g, tree = _graph_and_tree(args)
     spec = theta_spec_from_uri(args.graph)
-    methods = [args.method] if args.method != "all" else None
-    if methods is None:
+    methods = [args.method]
+    if args.method == "all":
         methods = ["closed-form", "schoenberg", "winkler"] if spec else ["schoenberg", "winkler"]
     verdicts = []
     for method in methods:

@@ -33,10 +33,9 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
-def validate_mode(mode: str) -> str:
+def validate_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
 
 
 def require_int(value, name: str, error: type[ValueError] = ValueError) -> int:

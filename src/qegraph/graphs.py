@@ -47,11 +47,8 @@ class Graph:
     Edges are stored as lexicographically sorted (u, v) pairs with u < v.
     Loops and parallel edges are rejected.  ``edges`` is the public view of
     the graph; the adjacency lists built from it are private to the package.
-
-    Derived data is computed at most once and lives as long as the graph: the
-    distance matrix (see ``distance_matrix``) and the Schoenberg verdicts of
-    ``analysis.classify_schoenberg`` and ``analysis.qec``, one per mode and
-    tolerance.  No memoized value refers back to the graph.
+    Functions that derive data from the graph may keep it on the instance;
+    no memoized value refers back to the graph.
     """
 
     n: int
@@ -62,7 +59,6 @@ class Graph:
         if n < 1:
             raise GraphError(f"vertex count must be positive, got {n}")
         object.__setattr__(self, "n", n)
-        canon = []
         seen = set()
         for e in self.edges:
             try:
@@ -79,18 +75,15 @@ class Graph:
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-            canon.append((u, v))
-        canon.sort()
-        object.__setattr__(self, "edges", tuple(canon))
+        edges = tuple(sorted(seen))
+        object.__setattr__(self, "edges", edges)
         adj = [[] for _ in range(n)]
-        for u, v in canon:
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
         # tuples built from lists: a tuple grown from a generator is resized,
         # and the interpreter's tuple free lists fill up with such tuples
         object.__setattr__(self, "_adj", tuple([tuple(a) for a in adj]))
-        object.__setattr__(self, "_dist", None)
-        object.__setattr__(self, "_cnd", {})  # (mode, tol) -> spectra.CndVerdict
 
     @property
     def n_edges(self) -> int:
@@ -171,16 +164,14 @@ def _bfs_distances(g: Graph) -> np.ndarray | None:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path distances of a connected graph.
+    """All-pairs shortest-path distances of a connected graph, by the BFS or
+    Seidel's algorithm as the module docstring says.
 
-    Graphs with fewer than _SEIDEL_MIN_N (16) vertices take a BFS from every
-    source; larger ones take Seidel's algorithm on BLAS, exact in float32 up
-    to _FLOAT32_MAX_N (4096) vertices and in float64 above (see the module
-    docstring).  Returns an immutable C-ordered int64 matrix, computed once
-    per graph and shared by later calls.  Raises GraphError naming vertex 0
-    and the smallest vertex it cannot reach when g is disconnected.
+    Returns an immutable C-ordered int64 matrix, computed once per graph and
+    shared by later calls.  Raises GraphError naming vertex 0 and the
+    smallest vertex it cannot reach when g is disconnected.
     """
-    cached = g._dist
+    cached = vars(g).get("_dist")
     if cached is not None:
         return cached
     d = _seidel(g) if g.n >= _SEIDEL_MIN_N else _bfs_distances(g)
@@ -188,7 +179,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
         t = _bfs_row(g._adj, g.n, 0).index(-1)
         raise GraphError(f"graph is not connected: vertices 0 and {t} have no joining path")
     d.setflags(write=False)
-    object.__setattr__(g, "_dist", d)
+    vars(g)["_dist"] = d
     return d
 
 

@@ -1,19 +1,12 @@
 """Symmetric eigensolving and (conditional) definiteness tests, float and exact.
 
 The float route uses LAPACK's symmetric eigensolver through numpy.  The exact
-route scales a rational matrix to integers, splits the index set into the
-irreducible blocks of the nonzero pattern, decides a 1 x 1 block by the sign
-of its entry, and runs one iterative fraction-free (Bareiss) symmetric
-elimination with diagonal pivoting on each larger block, over Python ints
-or, for a block of _NUMPY_MIN_DIM rows or more, on an int64 array handed
-to the Python-int loop before it could overflow (see _bareiss_int64).
-That decides positive semidefiniteness without any tolerance and produces
-an explicit negativity certificate when the answer is no: a failing block's
-certificate padded with zeros.  Exact conditional negative definiteness
-reduces the distance matrix over differences e_i - e_a(i), where a(i) is
-the cut vertex through which the biconnected block of i hangs toward a
-central vertex r, so the reduction splits into one irreducible block per
-biconnected block of the graph, and a bridge into a 1 x 1 block.
+route scales a rational matrix to integers and decides positive
+semidefiniteness without any tolerance, by fraction-free elimination of each
+irreducible block (see _integer_psd_certificate), with an explicit
+negativity certificate when the answer is no.  Exact conditional negative
+definiteness is decided on an anchored reduction of the distance matrix
+(see _is_cnd_exact).
 """
 
 from __future__ import annotations
@@ -51,8 +44,11 @@ _AUTO_ESCALATION = 10.0
 # step p * a_ij - a_ik * a_kj fits in int64.
 _INT64_SAFE = 2**31
 
-# Exact elimination runs blocks of at least this many rows as int64 arrays;
-# below it numpy's cost per step exceeds the Python arithmetic it replaces.
+# Exact elimination runs blocks of at least this many rows as int64 arrays.
+# On the int64 blocks of the benchmark workloads (2-CPU Xeon, one BLAS
+# thread) the list loop against the int64 loop took 4.3 against 11.8 us at
+# 2 rows, 67 against 65 us at 10 and 152 against 112 us at 15: the two
+# cross at about 10 rows, below this cut.
 _NUMPY_MIN_DIM = 16
 
 
@@ -88,7 +84,7 @@ def _as_float_sym(m) -> np.ndarray:
         raise _not_real(a.flat) from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SpectraError(f"matrix must be square, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         raise SpectraError("matrix entries must be finite")
     if not (a == a.T).all():
         raise SpectraError("matrix must be exactly symmetric")
@@ -352,11 +348,9 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     certificate on the live block, lifted back through the stored pivot
     columns: x_k = -(col_k . v) / p, scaled by p to stay integral.
 
-    A block of at least _NUMPY_MIN_DIM rows with int64 entries goes to
-    _bareiss_int64, which hands it to the Python-int loop before its
-    entries could leave int64; a smaller block, or one with larger entries,
-    runs over Python ints on its lower triangle throughout.  Both give the
-    same pivots and the same certificate.
+    A block of at least _NUMPY_MIN_DIM rows with int64 entries runs
+    through _bareiss_int64, any other over Python ints on its lower
+    triangle; both give the same pivots and the same certificate.
     """
     for block in _irreducible_blocks(a):
         if len(block) == 1:
@@ -421,13 +415,12 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     if a.shape[0] == 0:
         return PsdVerdict(is_psd=True, mode_used="float")
     res, _, psd, near_zero = _float_spectrum(a, tol)
-    lam_max = float(res.eigenvalues[0])
-    lam_min = float(res.eigenvalues[-1])
+    lam = res.eigenvalues
+    evidence = {"lambda_min": float(lam[-1]), "lambda_max": float(lam[0])}
     if mode == "auto" and near_zero:
-        exact = _is_psd_exact(m)
-        return replace(exact, lambda_min=lam_min, lambda_max=lam_max)
+        return replace(_is_psd_exact(m), **evidence)
     if psd:
-        return PsdVerdict(is_psd=True, mode_used="float", lambda_min=lam_min, lambda_max=lam_max)
+        return PsdVerdict(is_psd=True, mode_used="float", **evidence)
     vec = res.eigenvectors[:, -1]
     value = float(vec @ a @ vec)
     if value >= 0:
@@ -435,19 +428,18 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     return PsdVerdict(
         is_psd=False,
         mode_used="float",
-        lambda_min=lam_min,
-        lambda_max=lam_max,
         certificate=tuple(vec.tolist()),
         certificate_value=value,
+        **evidence,
     )
 
 
 def _check_distance_matrix(a: np.ndarray) -> np.ndarray:
     """a itself, once its diagonal is zero and no entry is negative; a is a
     float or an integer array (int64 or Python ints)."""
-    if a.size and a.diagonal().any():
+    if a.diagonal().any():
         raise SpectraError("distance matrix must have a zero diagonal")
-    if a.size and (a < 0).any():
+    if (a < 0).any():
         raise SpectraError("distance matrix entries must be non-negative")
     return a
 
@@ -555,11 +547,10 @@ def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
     lifted as f = U v = sum v_i (e_i - e_a(i)).
 
     The reference r is the first vertex of minimum eccentricity, and a(i)
-    comes from _block_anchors: the vertex through which the biconnected
-    block of i hangs toward r.  The a(i) form a tree rooted at r, so the
-    u_i are a basis of the complement whatever the matrix and whatever its
-    integer dtype; where the 1-entries do not reach every vertex from r,
-    a(i) = r throughout (the star at r).  Then
+    is the anchor of i from _block_anchors.  The a(i) form a tree rooted at
+    r, so the u_i are a basis of the complement whatever the matrix and
+    whatever its integer dtype; where the 1-entries do not reach every
+    vertex from r, a(i) = r throughout (the star at r).  Then
     R_ij = d(i, a_j) + d(a_i, j) - d(i, j) - d(a_i, a_j).  For a graph
     metric R_ij = 0 when i and j lie in different blocks, since a cut
     vertex splits every distance across it into a sum; so R splits into
@@ -604,11 +595,9 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     <f, Df> <= 0 for every f orthogonal to the all-ones vector.
 
     Decided as positive semidefiniteness of -D compressed to that
-    complement (in exact mode over the integer basis e_i - e_a(i), a(i) the
-    cut vertex through which the block of i hangs toward a central vertex,
-    so that the decision splits by biconnected block); modes behave as in
-    is_psd.  The float and auto modes also report the largest eigenvalue on
-    the complement and a unit maximizer.
+    complement, in exact mode over the anchored basis of _is_cnd_exact;
+    modes behave as in is_psd.  The float and auto modes also report the
+    largest eigenvalue on the complement and a unit maximizer.
     """
     validate_mode(mode)
     if mode == "exact":
@@ -621,23 +610,21 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     r, w = reduce_ones_complement(a)
     # D is CND iff -r is PSD; max_eig = -lambda_min(-r)
     res, _, psd, near_zero = _float_spectrum(-r, tol)
-    max_eig = -float(res.eigenvalues[-1])
     x = np.concatenate(([0.0], res.eigenvectors[:, -1]))
     f = x - float(w @ x) * w
-    maximizer = tuple(f.tolist())
+    evidence = {"max_eig": -float(res.eigenvalues[-1]), "maximizer": tuple(f.tolist())}
     if mode == "auto" and near_zero:
         exact = _is_cnd_exact(*_as_integer_sym(d))  # the same entries, checked above
-        return replace(exact, max_eig=max_eig, maximizer=maximizer)
+        return replace(exact, **evidence)
     if psd:
-        return CndVerdict(is_cnd=True, mode_used="float", max_eig=max_eig, maximizer=maximizer)
+        return CndVerdict(is_cnd=True, mode_used="float", **evidence)
     value = float(f @ a @ f)
     if value <= 0 or abs(float(f.sum())) > 1e-8:
         raise SpectraError("internal error: float certificate failed re-validation")
     return CndVerdict(
         is_cnd=False,
         mode_used="float",
-        max_eig=max_eig,
-        maximizer=maximizer,
-        certificate=maximizer,
+        certificate=evidence["maximizer"],
         certificate_value=value,
+        **evidence,
     )

@@ -230,10 +230,9 @@ def reconstruct_embedding(g: Graph) -> Embedding:
 
     The kernel K over the canonical BFS tree is factored through the
     eigendecomposition of the integer 2K under the float PSD rule of
-    ``spectra`` at ``DEFAULT_TOLERANCES``: eigenvalues of 2K within the
-    bound of zero are clamped, and a genuinely negative one raises
-    EmbeddingError.  diag(K) = 1 gives lambda_max(K) >= 1, so the bound of
-    2K is exactly twice that of K and the rule decides as it would on K.
+    ``spectra`` at ``DEFAULT_TOLERANCES``, which decides on 2K as on K (see
+    ``analysis.classify_winkler``): eigenvalues of 2K within the bound of
+    zero are clamped, and a genuinely negative one raises EmbeddingError.
     Each kept eigenvalue is halved only to scale its eigenvector by
     sqrt(lambda / 2), giving one vector per tree edge.  Vertex 0 sits at
     the origin, and each tree edge (a, b), parent to child in discovery

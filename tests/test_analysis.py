@@ -387,6 +387,7 @@ class TestVertexGluing:
         x = [Fraction(v) for v in w.evidence["certificate"]]
         assert all(x[i] == 0 for i in bridges)
 
+    @pytest.mark.parametrize("mode", ["auto", "exact"])
     @given(
         st.lists(
             st.sampled_from(("cycle", "path", "star", "theta1-even", "theta")),
@@ -396,13 +397,13 @@ class TestVertexGluing:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=15, deadline=None)
-    def test_auto_verdicts_are_the_and_of_the_parts_at_scale(self, kinds, seed):
+    def test_verdicts_are_the_and_of_the_parts_at_scale(self, mode, kinds, seed):
         # the star product of Obata and Zakiyyah (Electron. J. Graph Theory
         # Appl. 6 (2018) 37-60) at the north-star sizes: 100-300 vertices in
         # 2-4 parts, cycles odd and Theta(1, 2k, 2l) even.  Both routes
-        # decide in auto mode, and each negative certificate, of ints when
-        # exact and of floats otherwise, is re-checked against Floyd-Warshall
-        # distances
+        # decide in the given mode, and each negative certificate, of ints
+        # when exact and of floats otherwise, is re-checked against
+        # Floyd-Warshall distances
         rng = random.Random(seed)
         k, sizes = len(kinds), []
         for kind in kinds:
@@ -411,8 +412,8 @@ class TestVertexGluing:
         g, parts = glued_parts(rng, kinds, sizes)
         assert 100 <= g.n <= 300
         want = all(qe for _, _, qe in parts)
-        s = classify_schoenberg(g, mode="auto")
-        w = classify_winkler(g, mode="auto")
+        s = classify_schoenberg(g, mode=mode)
+        w = classify_winkler(g, mode=mode)
         assert s.is_qe == w.is_qe == want, (kinds, s.mode_used, w.mode_used)
         if want:
             return
@@ -426,31 +427,41 @@ class TestVertexGluing:
 class TestRelabelling:
     # a verdict is a property of the graph, not of its vertex numbering: G
     # and G^pi, its copy under a random permutation pi of the vertices, get
-    # the same verdicts and Schoenberg form value at 100-300 vertices, and
+    # the same verdicts and Schoenberg form value (none in exact mode), and
     # every certificate of G^pi holds against its own Floyd-Warshall
-    # distances, of ints when exact and of floats otherwise
+    # distances, of ints when exact and of floats otherwise.  Auto mode runs
+    # at 100-300 vertices; exact mode, which decides every graph exactly,
+    # at 60-120
+    @pytest.mark.parametrize(
+        "mode, low, high", [("auto", 100, 299), ("exact", 60, 119)], ids=["auto", "exact"]
+    )
     @given(
         st.sampled_from(
             ("cycle", "path", "star", "tree", "theta1-even", "theta-2-2", "theta-2-3-even",
              "theta-3", "theta")
         ),
-        st.integers(100, 299),
+        st.data(),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=15, deadline=None)
-    def test_auto_verdicts_do_not_change_under_relabelling(self, kind, m, seed):
+    def test_verdicts_do_not_change_under_relabelling(self, mode, low, high, kind, data, seed):
         rng = random.Random(seed)
+        m = data.draw(st.integers(low, high), label="m")
         g, want = part_graph(rng, kind, part_size(kind, m))
-        assert 100 <= g.n <= 300
+        assert low <= g.n <= high + 1
         pi = list(range(g.n))
         rng.shuffle(pi)
         h = Graph(g.n, tuple((pi[u], pi[v]) for u, v in g.edges))
-        s_g, s_h = (classify_schoenberg(x, mode="auto") for x in (g, h))
-        w_g, w_h = (classify_winkler(x, mode="auto") for x in (g, h))
+        s_g, s_h = (classify_schoenberg(x, mode=mode) for x in (g, h))
+        w_g, w_h = (classify_winkler(x, mode=mode) for x in (g, h))
         assert s_g.is_qe == s_h.is_qe == w_g.is_qe == w_h.is_qe == want, (kind, g.n)
         value = s_g.evidence["max_eig_on_ones_complement"]
-        gap = abs(s_h.evidence["max_eig_on_ones_complement"] - value)
-        assert gap <= 1e-9 * max(1.0, abs(value)), (kind, g.n, gap)
+        other = s_h.evidence["max_eig_on_ones_complement"]
+        if mode == "exact":
+            assert value is None and other is None
+        else:
+            gap = abs(other - value)
+            assert gap <= 1e-9 * max(1.0, abs(value)), (kind, g.n, gap)
         if want:
             return
         d = floyd_warshall(h)

@@ -710,6 +710,52 @@ class TestCnd:
         assert verdict.certificate_value == int_form(d, verdict.certificate) * big > 0
 
 
+def evidence_case(name: str):
+    """The test and the matrix a TestAutoKeepsFloatEvidence case names."""
+    if name == "[[1, 1], [1, 1]]":
+        return is_psd, np.ones((2, 2), dtype=np.int64)
+    if name == "J + I":
+        return is_psd, np.ones((5, 5), dtype=np.int64) + np.eye(5, dtype=np.int64)
+    if name == "2^60 +/- 1":  # see test_exact_sees_a_determinant_float64_rounds_away
+        return is_psd, [[2**60 + 1, 2**60], [2**60, 2**60 - 1]]
+    what, uri = name.split(" of ")
+    g = graph_from_uri(uri)
+    return (is_psd, winkler_kernel(g).two_k) if what == "2K" else (is_cnd, distance_matrix(g))
+
+
+class TestAutoKeepsFloatEvidence:
+    # auto reports the float evidence of mode "float" exactly, whether it
+    # keeps the float verdict or re-decides exactly; the decision and any
+    # certificate are those of the mode it names in mode_used, and an
+    # escalated certificate is of ints
+    @pytest.mark.parametrize(
+        "name, escalates",
+        [
+            ("[[1, 1], [1, 1]]", True),
+            ("2K of theta:2,3,5", True),
+            ("D of cycle:8", True),
+            ("D of theta:2,3,5", True),
+            ("2^60 +/- 1", True),
+            ("2K of theta:2,3,9", False),
+            ("D of theta:2,3,9", False),
+            ("J + I", False),
+        ],
+    )
+    def test_auto_reports_the_float_evidence(self, name, escalates):
+        decide, m = evidence_case(name)
+        auto, flt = decide(m, mode="auto"), decide(m, mode="float")
+        floats = ("lambda_min", "lambda_max") if decide is is_psd else ("max_eig", "maximizer")
+        for key in floats:
+            assert getattr(flt, key) is not None and getattr(auto, key) == getattr(flt, key), key
+        assert auto.mode_used == ("exact" if escalates else "float")
+        want = decide(m, mode=auto.mode_used)
+        decision = "is_psd" if decide is is_psd else "is_cnd"
+        for key in (decision, "certificate", "certificate_value"):
+            assert getattr(auto, key) == getattr(want, key), key
+        if escalates and auto.certificate is not None:
+            assert all(type(x) is int for x in auto.certificate)
+
+
 def star_reduction(d: np.ndarray, r: int) -> np.ndarray:
     """R_ij = d(i, r) + d(j, r) - d(i, j) over i, j != r."""
     others = [i for i in range(len(d)) if i != r]
