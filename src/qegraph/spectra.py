@@ -180,6 +180,15 @@ def _principal(a: np.ndarray, idx) -> np.ndarray:
     return a.take(idx, 0).take(idx, 1)
 
 
+def _difference_form(d: np.ndarray, heads, tails) -> np.ndarray:
+    """-U^T D U as a new matrix, for the columns u_i = e_heads[i] - e_tails[i]
+    over the int64 or object array d: its entry (i, j) is
+    d(h_i, t_j) + d(t_i, h_j) - d(h_i, h_j) - d(t_i, t_j).  Two row gathers
+    give U^T D, and two column gathers of U^T D give the form."""
+    du = d.take(heads, 0) - d.take(tails, 0)
+    return du.take(tails, 1) - du.take(heads, 1)
+
+
 def _quad_form(a: np.ndarray, v: list[int]) -> int:
     support = [i for i, vi in enumerate(v) if vi]
     vs = [v[i] for i in support]
@@ -204,13 +213,18 @@ def _zero_pivot_certificate(low: list[list[int]]) -> list[int] | None:
     return None
 
 
+def _pattern(mask: np.ndarray) -> tuple[list[int], list[int]]:
+    """The row index of the nonzero pattern of a square array: the nonzero
+    columns of row u are cols[ends[u] : ends[u + 1]], in increasing order."""
+    rows, cols = np.nonzero(mask)
+    return np.searchsorted(rows, np.arange(len(mask) + 1)).tolist(), cols.tolist()
+
+
 def _irreducible_blocks(a: np.ndarray) -> list[list[int]]:
     """The connected components of the nonzero pattern, each in increasing
     index order; the search stops once one component covers every index."""
     m = len(a)
-    rows, cols = np.nonzero(a)
-    ends = np.searchsorted(rows, np.arange(m + 1)).tolist()
-    cols = cols.tolist()
+    ends, cols = _pattern(a)
     seen = [False] * m
     found = 0
     blocks = []
@@ -504,11 +518,9 @@ def _block_anchors(a: np.ndarray, r: int) -> list[int] | None:
     low(u) >= order(h), the vertices found since u, which are still open,
     form with h a block headed by h."""
     n = len(a)
-    flat = np.flatnonzero(a == 1)
-    ends = np.searchsorted(flat, np.arange(0, n * n + 1, n)).tolist()
+    ends, cols = _pattern(a == 1)
     if ends == list(range(0, 2 * n + 1, 2)):
         return [r] * n
-    cols = (flat % n).tolist()  # the neighbours of u are cols[ends[u] : ends[u + 1]]
     order = [0] * n  # discovery number, from 1; 0 while unseen
     low = [0] * n
     anchor = [r] * n
@@ -542,22 +554,19 @@ def _block_anchors(a: np.ndarray, r: int) -> list[int] | None:
 
 def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
     """Exact Schoenberg decision on the checked integer distance matrix a
-    (scale times the caller's): PSD of R = -U^T D U over the integer basis
-    u_i = e_i - e_a(i) (i != r) of the complement of the all-ones vector,
-    lifted as f = U v = sum v_i (e_i - e_a(i)).
+    (scale times the caller's): PSD of R = -U^T D U (_difference_form) over
+    the integer basis u_i = e_i - e_a(i) (i != r) of the complement of the
+    all-ones vector, lifted as f = U v = sum v_i (e_i - e_a(i)).
 
     The reference r is the first vertex of minimum eccentricity, and a(i)
     is the anchor of i from _block_anchors.  The a(i) form a tree rooted at
     r, so the u_i are a basis of the complement whatever the matrix and
     whatever its integer dtype; where the 1-entries do not reach every
-    vertex from r, a(i) = r throughout (the star at r).  Then
-    R_ij = d(i, a_j) + d(a_i, j) - d(i, j) - d(a_i, a_j).  For a graph
+    vertex from r, a(i) = r throughout (the star at r).  For a graph
     metric R_ij = 0 when i and j lie in different blocks, since a cut
     vertex splits every distance across it into a sum; so R splits into
     the Schoenberg reduction of each block at its anchor, a bridge gives a
     1 x 1 entry of 2, and a certificate lives on one block and its anchor.
-    When every anchor is r (a 2-connected graph, among others) R is the
-    star reduction R_ij = d(i, r) + d(j, r) - d(i, j).
     """
     n = len(a)
     if n < 2:
@@ -566,13 +575,7 @@ def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
     others = np.arange(1, n)
     others[:r] -= 1  # every index but r, in order
     anchor = _block_anchors(a, r) or [r] * n
-    up = np.array(anchor).take(others)
-    rows = a.take(others, 0)
-    da = rows.take(up, 1)
-    reduced = da + da.T
-    reduced -= rows.take(others, 1)
-    reduced -= _principal(a, up)
-    v = _integer_psd_certificate(reduced)
+    v = _integer_psd_certificate(_difference_form(a, others, np.array(anchor).take(others)))
     if v is None:
         return CndVerdict(is_cnd=True, mode_used="exact")
     f = [0] * n

@@ -153,20 +153,14 @@ class KernelMatrix:
 
 def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     """Kernel matrix of g over an oriented spanning tree (default: the
-    canonical BFS tree), rows following the tree's edge order.
-
-    With B the incidence matrix whose column for tree edge (a, b) is
-    e_a - e_b, 2K = -B^T D B: two row gathers of D give B^T D, whose
-    transpose is DB (D is symmetric), and two row gathers of DB give 2K as
-    a new C-ordered matrix."""
+    canonical BFS tree), rows following the tree's edge order, formed as
+    2K = -B^T D B by spectra._difference_form."""
     if tree is None:
         tree = default_orientation_and_tree(g)
     elif tree.graph is not g and tree.graph != g:
         raise TreeError("tree belongs to a different host graph")
-    d = distance_matrix(g)
     heads, tails = np.array(tree.tree_edges, dtype=np.int64).reshape(-1, 2).T
-    db = (d[heads] - d[tails]).T
-    two_k = db[tails] - db[heads]
+    two_k = spectra._difference_form(distance_matrix(g), heads, tails)
     two_k.setflags(write=False)
     return KernelMatrix(two_k)
 

@@ -60,6 +60,12 @@ def floyd_warshall(g: Graph) -> np.ndarray:
     return d
 
 
+def tree_two_k(d: np.ndarray, tree) -> np.ndarray:
+    """2K(e_i, e_j) = d(a_i, b_j) - d(a_i, a_j) - d(b_i, b_j) + d(b_i, a_j)."""
+    a, b = np.array(tree).T
+    return d[np.ix_(a, b)] - d[np.ix_(a, a)] - d[np.ix_(b, b)] + d[np.ix_(b, a)]
+
+
 def int_form(m, v) -> int:
     """<v, Mv> over Python ints, v an integer vector."""
     rows = np.asarray(m, dtype=object).tolist()

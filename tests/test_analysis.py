@@ -53,6 +53,7 @@ from conftest import (
     random_connected_graph,
     random_sparse_graph,
     run_python,
+    tree_two_k,
 )
 
 
@@ -481,12 +482,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     edges = [(u * h.n + a, u * h.n + b) for u in range(g.n) for a, b in h.edges]
     edges += [(a * h.n + v, b * h.n + v) for a, b in g.edges for v in range(h.n)]
     return Graph(g.n * h.n, tuple(edges))
-
-
-def tree_two_k(d: np.ndarray, tree) -> np.ndarray:
-    """2K(e_i, e_j) = d(a_i, b_j) - d(a_i, a_j) - d(b_i, b_j) + d(b_i, a_j)."""
-    a, b = np.array(tree).T
-    return d[np.ix_(a, b)] - d[np.ix_(a, a)] - d[np.ix_(b, b)] + d[np.ix_(b, a)]
 
 
 # the factor kinds of part_graph: of QE class path, odd cycle, star, random

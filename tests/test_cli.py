@@ -93,6 +93,18 @@ class TestClassify:
         assert code == 2
         assert "not connected" in err
 
+    @pytest.mark.parametrize(
+        "argv", [("classify", "--method", "winkler"), ("kernel",)], ids=["classify", "kernel"]
+    )
+    def test_disconnected_graph_on_the_winkler_route_exit_2(self, capsys, tmp_path, argv):
+        # neither command computes distances before the tree, so the error
+        # comes from the tree's breadth-first search
+        path = tmp_path / "disc.edges"
+        path.write_text("5\n0 1\n1 2\n3 4\n")
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err == "error: graph is not connected: vertices 0 and 3 have no joining path\n"
+
     def test_out_of_memory_exit_2(self, capsys, monkeypatch):
         # a graph too large to build reports one error line, not a traceback
         # that would exit 1, "not QE"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qegraph import (
@@ -754,6 +754,40 @@ class TestAutoKeepsFloatEvidence:
             assert getattr(auto, key) == getattr(want, key), key
         if escalates and auto.certificate is not None:
             assert all(type(x) is int for x in auto.certificate)
+
+
+class TestDifferenceForm:
+    """-U^T D U for u_i = e_heads[i] - e_tails[i], over a rooted basis: a
+    parent array of a random tree on the indices, not a graph's edges."""
+
+    @given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(1, False, 0)  # the empty basis, int64
+    @example(1, True, 0)  # the empty basis, Python ints
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dense_form_over_python_ints(self, n, big, seed):
+        rng = random.Random(seed)
+        top = 2**70 if big else 2**31 - 1
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-top, top)
+        d = np.array(rows, dtype=object if big else np.int64).reshape(n, n)
+        d.setflags(write=False)  # a write to the input raises
+        order = list(range(n))
+        rng.shuffle(order)  # order[0] is the root; each parent comes earlier
+        heads = order[1:]
+        tails = [order[rng.randrange(k)] for k in range(1, n)]
+        got = spectra._difference_form(d, np.array(heads, dtype=int), np.array(tails, dtype=int))
+        u = [[(a == h) - (a == t) for h, t in zip(heads, tails)] for a in range(n)]
+        want = [
+            [
+                -sum(u[a][i] * rows[a][b] * u[b][j] for a in range(n) for b in range(n))
+                for j in range(n - 1)
+            ]
+            for i in range(n - 1)
+        ]
+        assert got.dtype == d.dtype and got.shape == (n - 1, n - 1)
+        assert got.tolist() == want
 
 
 def star_reduction(d: np.ndarray, r: int) -> np.ndarray:

@@ -1,8 +1,11 @@
+import random
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qegraph import (
     EmbeddingError,
@@ -12,6 +15,7 @@ from qegraph import (
     ThetaSpec,
     TreeError,
     build_theta1_block_kernel,
+    classify_winkler,
     default_orientation_and_tree,
     distance_matrix,
     graph_from_uri,
@@ -28,8 +32,11 @@ from conftest import (
     all_labeled_trees,
     embedding_error,
     floyd_warshall,
+    part_graph,
+    part_size,
     random_connected_graph,
     random_oriented_tree,
+    tree_two_k,
 )
 
 
@@ -257,6 +264,37 @@ class TestKernel:
                 kern = winkler_kernel(g, tree)
                 assert is_psd(kern.two_k).is_psd == baseline, uri
 
+    # the same property on a part_graph of 100-300 vertices (60-120 in exact
+    # mode): the route's verdict over a random oriented tree is its verdict
+    # over the default tree and the part's class, and a negative certificate
+    # holds against 2K of the drawn tree from Floyd-Warshall distances
+    @pytest.mark.parametrize(
+        "mode, low, high", [("auto", 100, 299), ("exact", 60, 119)], ids=["auto", "exact"]
+    )
+    @given(
+        st.sampled_from(
+            ("cycle", "path", "star", "tree", "theta1-even", "theta-2-2", "theta-2-3-even",
+             "theta-3", "theta")
+        ),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_verdict_invariant_under_tree_at_scale(self, mode, low, high, kind, data, seed):
+        rng = random.Random(seed)
+        m = data.draw(st.integers(low, high), label="m")
+        g, want = part_graph(rng, kind, part_size(kind, m))
+        assert low <= g.n <= high + 1
+        tree = random_oriented_tree(rng, g)
+        drawn = classify_winkler(g, tree, mode=mode)
+        assert drawn.is_qe == classify_winkler(g, mode=mode).is_qe == want, (kind, g.n)
+        if want:
+            return
+        x = np.array(
+            drawn.evidence["certificate"], dtype=object if drawn.mode_used == "exact" else float
+        )
+        assert x @ tree_two_k(floyd_warshall(g), tree.tree_edges) @ x < 0
+
     def test_orientation_flip_conjugates(self, rng):
         g = make_theta(ThetaSpec(2, 3, 4))
         tree = default_orientation_and_tree(g)
@@ -280,6 +318,25 @@ class TestKernel:
                 for a, b in tree.tree_edges
             ]
             assert winkler_kernel(g, tree).two_k.tolist() == want, g.n
+
+    @pytest.mark.parametrize(
+        "g, t",
+        [
+            (Graph(4, ((0, 1), (2, 3))), 2),
+            (Graph(5, ((0, 1), (1, 2), (2, 3))), 4),
+            (Graph(40, tuple((i, i + 1) for i in range(39) if i != 19)), 20),
+            (Graph(40, tuple((i, i + 2) for i in range(38))), 1),  # even and odd vertices
+        ],
+        ids=["two-edges", "isolated-last", "path-cut", "parity"],
+    )
+    def test_disconnected_graph_names_first_unreachable_vertex(self, g, t):
+        # the text distance_matrix gives, from the routes that build a tree
+        # before they need any distance
+        message = f"graph is not connected: vertices 0 and {t} have no joining path"
+        for build in (default_orientation_and_tree, winkler_kernel, reconstruct_embedding):
+            with pytest.raises(GraphError) as err:
+                build(g)
+            assert str(err.value) == message, build.__name__
 
     def test_kernel_rejects_foreign_tree(self):
         g1, g2 = make_cycle(4), make_cycle(5)
