@@ -1,20 +1,24 @@
 """Undirected graphs, builtin families, and shortest-path metrics.
 
-Distances come from one of two exact algorithms, cut at _SEIDEL_MIN_N
-vertices.  Smaller graphs take a breadth-first search from every source in
-Python.  Larger ones take Seidel's algorithm, which finds every distance
-of a connected unweighted graph with ceil(log2 diam) Boolean squarings of
-the adjacency matrix and as many integer products, all done by BLAS
-(R. Seidel, JCSS 51 (1995) 400-403).  The products run in float32 up to
-_FLOAT32_MAX_N vertices and in float64 above: every partial sum they form
-is an integer of magnitude at most (n - 1)**2, so float32 is exact while
-that stays below 2**24, whatever order BLAS sums in.
+Distances come from one of three exact sources.  A graph built by
+make_theta, make_cycle or make_path carries its family's metric in closed
+form, evaluated the first time its distances are asked for.  Any other
+graph takes one of two searches, cut at _SEIDEL_MIN_N vertices.  Smaller
+graphs take a breadth-first search from every source in Python.  Larger
+ones take Seidel's algorithm, which finds every distance of a connected
+unweighted graph with ceil(log2 diam) Boolean squarings of the adjacency
+matrix and as many integer products, all done by BLAS (R. Seidel, JCSS 51
+(1995) 400-403).  The products run in float32 up to _FLOAT32_MAX_N
+vertices and in float64 above: every partial sum they form is an integer
+of magnitude at most (n - 1)**2, so float32 is exact while that stays
+below 2**24, whatever order BLAS sums in.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,10 +79,23 @@ class Graph:
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
-        edges = tuple(sorted(seen))
-        object.__setattr__(self, "edges", edges)
-        adj = [[] for _ in range(n)]
-        for u, v in edges:
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        self._link()
+
+    @classmethod
+    def _trusted(cls, n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+        """A graph the package has just built, stored without the public
+        check: edges already sorted, each with u < v, none repeated."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        g._link()
+        return g
+
+    def _link(self) -> None:
+        """Adjacency lists in edge order, which fixes the default BFS tree."""
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
         # tuples built from lists: a tuple grown from a generator is resized,
@@ -164,8 +181,9 @@ def _bfs_distances(g: Graph) -> np.ndarray | None:
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs shortest-path distances of a connected graph, by the BFS or
-    Seidel's algorithm as the module docstring says.
+    """All-pairs shortest-path distances of a connected graph, by the
+    family's closed form, the BFS or Seidel's algorithm as the module
+    docstring says.
 
     Returns an immutable C-ordered int64 matrix, computed once per graph and
     shared by later calls.  Raises GraphError naming vertex 0 and the
@@ -174,7 +192,13 @@ def distance_matrix(g: Graph) -> np.ndarray:
     cached = vars(g).get("_dist")
     if cached is not None:
         return cached
-    d = _seidel(g) if g.n >= _SEIDEL_MIN_N else _bfs_distances(g)
+    metric = vars(g).get("_metric")  # set by the builtin builders
+    if metric is not None:
+        d = metric()
+    elif g.n >= _SEIDEL_MIN_N:
+        d = _seidel(g)
+    else:
+        d = _bfs_distances(g)
     if d is None:
         t = _bfs_row(g._adj, g.n, 0).index(-1)
         raise GraphError(f"graph is not connected: vertices 0 and {t} have no joining path")
@@ -263,8 +287,55 @@ class ThetaSpec:
         return path[j]
 
 
+def _path_distances(n: int) -> np.ndarray:
+    """d(i, j) = |i - j|."""
+    i = np.arange(n, dtype=np.int64)
+    return np.abs(np.subtract.outer(i, i))
+
+
+def _cycle_distances(m: int) -> np.ndarray:
+    """d(i, j) = min(|i - j|, m - |i - j|)."""
+    d = _path_distances(m)
+    return np.minimum(d, m - d, out=d)
+
+
+def _theta_distances(spec: ThetaSpec) -> np.ndarray:
+    """d(u, v) = min(t_u + t_v, s_u + s_v, t_u + h + s_v, s_u + h + t_v),
+    and |t_u - t_v| too when u and v lie on one leg.  t is a vertex's offset
+    from junction 0 along its leg, s = L - t with L the leg's length, and h
+    the shortest leg, the distance between the junctions.  Every term is the
+    length of a walk, and a shortest path takes one of these routes.  A
+    junction lies on every leg; the terms give its distances whichever leg
+    it is placed on.
+
+    Grouped by v's end, the four routes are d(u, 0) + t_v and d(u, 1) + s_v,
+    with d(u, 0) = min(t_u, h + s_u) and d(u, 1) = min(s_u, h + t_u).  The
+    last term is |key_u - key_v| with key = t + 2n * (leg number): on
+    different legs it is at least n, more than any distance.
+    """
+    n, h = spec.n_vertices, min(spec.legs)
+    t, s, key = [0] * n, [0] * n, [0] * n
+    for k, kind in enumerate(("x", "y", "z")):
+        path = spec.path_vertices(kind)
+        last = len(path) - 1
+        for j, v in enumerate(path):
+            t[v], s[v], key[v] = j, last - j, j + 2 * n * k
+    t, s, key = np.array([t, s, key], dtype=np.int64)
+    d = np.add.outer(np.minimum(t, s + h), t)
+    np.minimum(d, np.add.outer(np.minimum(s, t + h), s), out=d)
+    return np.minimum(d, np.abs(np.subtract.outer(key, key)), out=d)
+
+
+def _family(n: int, edges: tuple[tuple[int, int], ...], metric) -> Graph:
+    """A builtin graph with its closed-form metric, a function of the legs
+    or the size alone, kept for distance_matrix's first call."""
+    g = Graph._trusted(n, edges)
+    vars(g)["_metric"] = metric
+    return g
+
+
 def make_theta(spec: ThetaSpec) -> Graph:
-    """Theta graph of a ThetaSpec.
+    """Theta graph of a ThetaSpec, with its distances in closed form.
 
     Vertex 0 and 1 are the junctions of degree 3; interior vertices follow in
     path order along the x, y and z legs (see ThetaSpec.path_vertices).
@@ -272,26 +343,26 @@ def make_theta(spec: ThetaSpec) -> Graph:
     edges = []
     for kind in ("x", "y", "z"):
         seq = spec.path_vertices(kind)
-        edges.extend(zip(seq, seq[1:]))
-    return Graph(spec.n_vertices, tuple(edges))
+        edges.extend([(u, v) if u < v else (v, u) for u, v in zip(seq, seq[1:])])
+    edges.sort()
+    return _family(spec.n_vertices, tuple(edges), partial(_theta_distances, spec))
 
 
 def make_path(n: int) -> Graph:
-    """Path graph on n >= 1 vertices."""
+    """Path graph on n >= 1 vertices, with its distances in closed form."""
     n = require_int(n, "vertex count", GraphError)
     if n < 1:
         raise GraphError(f"path needs at least 1 vertex, got {n}")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return _family(n, tuple([(i, i + 1) for i in range(n - 1)]), partial(_path_distances, n))
 
 
 def make_cycle(m: int) -> Graph:
-    """Cycle graph on m >= 3 vertices."""
+    """Cycle graph on m >= 3 vertices, with its distances in closed form."""
     m = require_int(m, "vertex count", GraphError)
     if m < 3:
         raise GraphError(f"cycle needs at least 3 vertices, got {m}")
-    edges = [(i, i + 1) for i in range(m - 1)]
-    edges.append((m - 1, 0))
-    return Graph(m, tuple(edges))
+    edges = [(0, 1), (0, m - 1)] + [(i, i + 1) for i in range(1, m - 1)]  # sorted
+    return _family(m, tuple(edges), partial(_cycle_distances, m))
 
 
 def _data_lines(text: str):

@@ -81,6 +81,19 @@ class TestClassify:
         assert code == 2
         assert "error:" in err
 
+    def test_closed_form_on_a_huge_theta_needs_no_distances(self, capsys):
+        # 100 000 vertices, whose distance matrix would take 80 GB: the
+        # closed form reads only the legs
+        code, out, err = run_cli(
+            capsys, "classify", "theta:1,50000,50000", "--method", "closed-form"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "graph: theta:1,50000,50000 (100000 vertices, 100001 edges)\n"
+            "closed-form: QE  [alpha = 1]\n"
+            "decision: QE\n"
+        )
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "classify", "theta:0,3,3")
         assert code == 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +34,23 @@ from conftest import (
 )
 
 CUT = _SEIDEL_MIN_N  # smallest vertex count whose distances come from Seidel's algorithm
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Names of the generic distance searches that ran, in call order."""
+    ran = []
+    for name in ("_seidel", "_bfs_distances"):
+        def spy(g, search=getattr(graphs, name), name=name):
+            ran.append(name)
+            return search(g)
+        monkeypatch.setattr(graphs, name, spy)
+    return ran
+
+
+def rebuilt(g: Graph) -> Graph:
+    """The same graph through the public constructor, without a family metric."""
+    return Graph(g.n, g.edges)
 
 
 class TestGraph:
@@ -106,6 +124,26 @@ class TestGraph:
         with pytest.raises(ValueError):
             d[0, 1] = 7
 
+    @pytest.mark.parametrize("n", [CUT, 40])
+    def test_seidel_distance_matrix_contract_on_a_rebuilt_cycle(self, n, searches):
+        g = rebuilt(make_cycle(n))
+        d = distance_matrix(g)
+        assert searches == ["_seidel"]
+        assert d.dtype == np.int64 and d.flags.c_contiguous and not d.flags.writeable
+        assert distance_matrix(g) is d
+        with pytest.raises(ValueError):
+            d[0, 1] = 7
+        assert np.array_equal(d, floyd_warshall(g))
+
+    @pytest.mark.parametrize("name", ["theta:2,3,5", "theta:1,7,7", "cycle:15", "path:15"])
+    def test_bfs_below_the_cut_on_a_rebuilt_builtin_graph(self, name, searches):
+        g = rebuilt(graph_from_uri(name))
+        assert g.n < CUT
+        d = distance_matrix(g)
+        assert searches == ["_bfs_distances"]
+        assert d.dtype == np.int64 and d.flags.c_contiguous and not d.flags.writeable
+        assert np.array_equal(d, floyd_warshall(g))
+
     @given(st.integers(min_value=2, max_value=80), st.booleans(), st.integers(0, 2**32 - 1))
     @example(CUT - 1, True, 1)
     @example(CUT - 1, False, 2)
@@ -134,6 +172,20 @@ class TestGraph:
         with pytest.raises(GraphError) as err:
             distance_matrix(Graph(40, tuple((i, i + 1) for i in range(39) if i != 19)))
         assert str(err.value) == "graph is not connected: vertices 0 and 20 have no joining path"
+
+    def test_float64_seidel_on_a_rebuilt_cycle(self, monkeypatch, searches):
+        monkeypatch.setattr(graphs, "_FLOAT32_MAX_N", 20)
+        g = rebuilt(graph_from_uri("cycle:61"))
+        d = distance_matrix(g)
+        assert searches == ["_seidel"]
+        assert d.dtype == np.int64 and d.flags.c_contiguous and not d.flags.writeable
+        assert np.array_equal(d, floyd_warshall(g))
+
+    @pytest.mark.parametrize("name", ["path:60", "cycle:301", "theta:1,150,150"])
+    def test_seidel_at_scale_on_a_rebuilt_builtin_graph(self, name, searches):
+        g = rebuilt(graph_from_uri(name))
+        assert np.array_equal(distance_matrix(g), floyd_warshall(g))
+        assert searches == ["_seidel"]
 
     @pytest.mark.parametrize(
         "name",
@@ -263,6 +315,44 @@ class TestBuilders:
             make_cycle(2)
         d = distance_matrix(make_cycle(6))
         assert d[0, 3] == 3 and d[0, 4] == 2
+
+    def test_closed_forms_match_floyd_warshall(self, searches):
+        # every theta graph of at most 30 vertices with its legs in every
+        # order, and the cycles and paths up to 120 vertices: the builtin
+        # graph equals the public constructor's, and its distances come
+        # from the family's closed form, not from a search
+        built = [
+            make_theta(ThetaSpec(*legs))
+            for legs in itertools.product(range(1, 31), repeat=3)
+            if sum(legs) <= 31 and legs.count(1) <= 1
+        ]
+        built += [make_cycle(m) for m in range(3, 121)]
+        built += [make_path(n) for n in range(1, 121)]
+        for g in built:
+            h = rebuilt(g)
+            assert (h.n, h.edges, h._adj) == (g.n, g.edges, g._adj)
+            assert h == g and hash(h) == hash(g)
+            d = distance_matrix(g)
+            assert d.dtype == np.int64 and d.flags.c_contiguous and not d.flags.writeable
+            assert distance_matrix(g) is d
+            assert np.array_equal(d, floyd_warshall(g)), g.n
+        assert searches == []
+
+    def test_builtin_graphs_defer_their_distances(self):
+        # an n x n matrix of these would take 80 GB: the closed form waits
+        # for the first distance_matrix call, and what the graph keeps for
+        # it does not refer back to the graph
+        for make in (
+            lambda: make_theta(ThetaSpec(1, 50000, 50000)),
+            lambda: make_cycle(100000),
+            lambda: make_path(100000),
+        ):
+            g = make()
+            assert g.n == 100000
+            assert not any(isinstance(v, np.ndarray) for v in vars(g).values())
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
 
     def test_theta_endpoint_distance(self):
         g = make_theta(ThetaSpec(2, 3, 5))
