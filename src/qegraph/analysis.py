@@ -172,8 +172,9 @@ def classify_winkler(
     # the entries do.  LAPACK's eigenvalues of 2K are twice K's up to the
     # rounding of its tridiagonal solver, so only a lambda_min within that
     # rounding of the bound could decide otherwise, and auto re-decides
-    # such a kernel exactly.  winkler.reconstruct_embedding relies on the
-    # same scaling when it applies the float rule to 2K.
+    # such a kernel exactly.  winkler.reconstruct_embedding factors the same
+    # kept kernel, and relies on the same scaling when its fallback for a
+    # K that is not positive definite applies the float rule to 2K.
     verdict = is_psd(kern.two_k, mode=mode, tol=tol)
     evidence = {
         "kernel_dim": kern.dim,

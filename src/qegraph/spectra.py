@@ -190,10 +190,19 @@ def _difference_form(d: np.ndarray, heads, tails) -> np.ndarray:
 
 
 def _quad_form(a: np.ndarray, v: list[int]) -> int:
+    """<v, Av> over the support of the integer vector v, exactly: in int64
+    when the block there is int64 and m**2 * max|a| * max|v|**2 < 2**63 over
+    its m indices bounds every partial sum, else over Python ints."""
     support = [i for i, vi in enumerate(v) if vi]
     vs = [v[i] for i in support]
-    sub = _principal(a, support).tolist()
-    return sum(vi * sum(x * vj for x, vj in zip(row, vs)) for vi, row in zip(vs, sub))
+    sub = _principal(a, support)
+    if sub.dtype == np.int64 and vs:
+        top = max(int(sub.max()), -int(sub.min()))
+        if len(vs) ** 2 * top * max(map(abs, vs)) ** 2 < 2**63:
+            x = np.array(vs, dtype=np.int64)
+            return int(x @ sub @ x)
+    rows = sub.tolist()
+    return sum(vi * sum(x * vj for x, vj in zip(row, vs)) for vi, row in zip(vs, rows))
 
 
 def _zero_pivot_certificate(low: list[list[int]]) -> list[int] | None:
@@ -405,7 +414,8 @@ def _float_spectrum(a, tol: Tolerances) -> tuple[SpectrumResult, float, bool, bo
     re-decides exactly.
 
     The one float rule of the package: is_psd applies it to its matrix,
-    is_cnd to the compressed -D, and winkler.reconstruct_embedding to 2K."""
+    is_cnd to the compressed -D, and winkler.reconstruct_embedding to 2K
+    only in its fallback, where a Cholesky factor of K fails."""
     res = eigen_sym(a)
     lam_min = float(res.eigenvalues[-1])
     bound = tol.psd_rel * max(1.0, float(res.eigenvalues[0]))

@@ -154,15 +154,27 @@ class KernelMatrix:
 def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     """Kernel matrix of g over an oriented spanning tree (default: the
     canonical BFS tree), rows following the tree's edge order, formed as
-    2K = -B^T D B by spectra._difference_form."""
-    if tree is None:
+    2K = -B^T D B by spectra._difference_form.
+
+    The default tree's kernel is computed once per graph and kept on it, as
+    ``distance_matrix`` keeps D, so the Winkler decision and the embedding
+    share one matrix; a kernel over an explicit tree is built anew on every
+    call."""
+    default = tree is None
+    if default:
+        kept = vars(g).get("_kernel")
+        if kept is not None:
+            return kept
         tree = default_orientation_and_tree(g)
     elif tree.graph is not g and tree.graph != g:
         raise TreeError("tree belongs to a different host graph")
     heads, tails = np.array(tree.tree_edges, dtype=np.int64).reshape(-1, 2).T
     two_k = spectra._difference_form(distance_matrix(g), heads, tails)
     two_k.setflags(write=False)
-    return KernelMatrix(two_k)
+    kern = KernelMatrix(two_k)
+    if default:
+        vars(g)["_kernel"] = kern  # the matrix only: no reference back to g
+    return kern
 
 
 def _theta1_params(k: int, l: int, parity: str) -> tuple[int, int]:
@@ -222,32 +234,40 @@ class Embedding:
 def reconstruct_embedding(g: Graph) -> Embedding:
     """Explicit quadratic embedding of g built from a PSD tree kernel.
 
-    The kernel K over the canonical BFS tree is factored through the
+    The kernel K over the canonical BFS tree (``winkler_kernel(g)``, the
+    one the Winkler decision kept on g) is factored as K = L L^T, one row of
+    L per tree edge.  A positive definite K is factored by a float Cholesky
+    of 2K / 2 (exact in float64), with n - 1 columns.  Where Cholesky fails,
+    as on a singular or indefinite K, the factor comes from the
     eigendecomposition of the integer 2K under the float PSD rule of
     ``spectra`` at ``DEFAULT_TOLERANCES``, which decides on 2K as on K (see
     ``analysis.classify_winkler``): eigenvalues of 2K within the bound of
-    zero are clamped, and a genuinely negative one raises EmbeddingError.
-    Each kept eigenvalue is halved only to scale its eigenvector by
-    sqrt(lambda / 2), giving one vector per tree edge.  Vertex 0 sits at
+    zero are clamped, a genuinely negative one raises EmbeddingError, and
+    each kept eigenvalue is halved only to scale its eigenvector by
+    sqrt(lambda / 2).  Vertex 0 sits at
     the origin, and each tree edge (a, b), parent to child in discovery
-    order, gives b the vector of a plus the edge's vector.  The result is
-    validated against the whole metric to within 1e-8 (_EMBED_TOL).
+    order, gives b the vector of a plus the edge's vector.  Either way the
+    result is validated against the whole metric to within 1e-8
+    (_EMBED_TOL).
     """
+    kern = winkler_kernel(g)
     tree = default_orientation_and_tree(g)
-    kern = winkler_kernel(g, tree)
     d = distance_matrix(g)
     if kern.dim == 0:
         vectors = np.zeros((g.n, 0))
         vectors.setflags(write=False)
         return Embedding(vectors)
-    res, bound, psd, _ = spectra._float_spectrum(kern.two_k, DEFAULT_TOLERANCES)
-    lam = res.eigenvalues  # twice the eigenvalues of K
-    if not psd:
-        raise EmbeddingError(
-            f"kernel is not positive semidefinite (lambda_min = {lam[-1] / 2:.3e})"
-        )
-    keep = lam > bound  # clamp the near-zero band to exact zero
-    edge_vecs = res.eigenvectors[:, keep] * np.sqrt(lam[keep] / 2)
+    try:
+        edge_vecs = np.linalg.cholesky(kern.two_k / 2)
+    except np.linalg.LinAlgError:
+        res, bound, psd, _ = spectra._float_spectrum(kern.two_k, DEFAULT_TOLERANCES)
+        lam = res.eigenvalues  # twice the eigenvalues of K
+        if not psd:
+            raise EmbeddingError(
+                f"kernel is not positive semidefinite (lambda_min = {lam[-1] / 2:.3e})"
+            ) from None
+        keep = lam > bound  # clamp the near-zero band to exact zero
+        edge_vecs = res.eigenvectors[:, keep] * np.sqrt(lam[keep] / 2)
     vectors = np.zeros((g.n, edge_vecs.shape[1]))
     # the default tree's edges run parent to child in discovery order, so
     # each tail is 0 or the head of an earlier edge

@@ -150,6 +150,21 @@ def embedding_error(vectors: np.ndarray, g: Graph) -> float:
     return float(np.abs(sq - floyd_warshall(g)).max())
 
 
+def count_eigensolves(monkeypatch) -> list[int]:
+    """The dimension of every spectra.eigen_sym call from here on: the
+    package's one float eigensolver, which spectra._float_spectrum calls
+    through the module attribute."""
+    solves = []
+    real = qegraph.spectra.eigen_sym
+
+    def counting(m):
+        solves.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(qegraph.spectra, "eigen_sym", counting)
+    return solves
+
+
 def part_graph(rng: random.Random, kind: str, m: int) -> tuple[Graph, bool]:
     """A graph of one kind on m vertices, and whether it is of QE class.
     Kinds of QE class: "cycle" (m >= 3), "path" (m >= 1), "star" (m >= 2)

@@ -43,6 +43,7 @@ from qegraph import analysis, spectra
 from qegraph.config import MODES
 
 from conftest import (
+    count_eigensolves,
     embedding_error,
     floyd_warshall,
     glued_parts,
@@ -298,6 +299,34 @@ class TestSchoenbergMemo:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestSolveCount:
+    """One eigensolve per route and graph: the embedding factors the
+    Winkler decision's own kernel, kept on the graph, and a positive
+    definite kernel needs no eigendecomposition."""
+
+    @pytest.mark.parametrize("kind, m", [("cycle", 41), ("tree", 40)])
+    def test_both_routes_then_the_embedding_solve_twice(self, monkeypatch, kind, m):
+        calls = count_eigensolves(monkeypatch)
+        g, _ = part_graph(random.Random(m), kind, m)
+        classify_schoenberg(g, mode="auto")
+        classify_winkler(g, mode="auto")
+        reconstruct_embedding(g)
+        assert calls == [m - 1, m - 1]
+
+    def test_default_tree_kernel_is_kept(self):
+        g = make_cycle(41)
+        assert winkler_kernel(g) is winkler_kernel(g)
+
+    def test_explicit_tree_kernel_is_built_anew(self):
+        g = make_cycle(41)
+        kept = winkler_kernel(g)
+        copy = OrientedTree(g, default_orientation_and_tree(g).tree_edges)
+        built = winkler_kernel(g, copy)
+        assert built is not kept and np.array_equal(built.two_k, kept.two_k)
+        assert winkler_kernel(g, copy) is not built
+        assert winkler_kernel(g) is kept
 
 
 class TestIsometricMonotonicity:

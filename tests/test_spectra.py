@@ -790,6 +790,50 @@ class TestDifferenceForm:
         assert got.tolist() == want
 
 
+class TestQuadForm:
+    """<v, Av> of a certificate re-check against the Python-int sum of
+    conftest.int_form.  int64 arithmetic may serve only where a bound
+    proves it exact, so a wrong choice shows as a wrapped value."""
+
+    @given(
+        st.integers(1, 12),
+        st.sampled_from((1, 2**10, 2**31 - 1, 2**70)),
+        st.sampled_from((1, 2**20, 2**40)),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, 2**31 - 1, 2**40, False, 0)  # one term of about 2**111
+    @example(12, 2**31 - 1, 2**40, False, 0)
+    @example(12, 2**31 - 1, 1, True, 0)  # int64-sized entries as Python ints
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_python_int_sum(self, n, top, vtop, as_object, seed):
+        rng = random.Random(seed)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-top, top)
+        v = [rng.randint(-vtop, vtop) if rng.random() < 0.7 else 0 for _ in range(n)]
+        dtype = object if as_object or top > 2**31 else np.int64
+        a = np.array(rows, dtype=dtype).reshape(n, n)
+        a.setflags(write=False)  # a write to the input raises
+        got = spectra._quad_form(a, v)
+        assert type(got) is int and got == int_form(a, v)
+
+    @pytest.mark.parametrize(
+        "rows, v",
+        [
+            ([[1]], [3037000499]),  # 3037000499**2 < 2**63 < 3037000500**2
+            ([[1]], [3037000500]),
+            ([[1, 1], [1, 1]], [2**30, 2**30]),  # 2**62
+            ([[1, 1], [1, 1]], [2**31, -(2**31)]),  # bound 2**64, value 0
+            ([[1, 1], [1, 1]], [2**31, 2**31]),  # 2**64
+        ],
+    )
+    def test_int64_bound_edges(self, rows, v):
+        a = np.array(rows, dtype=np.int64)
+        assert spectra._quad_form(a, v) == int_form(a, v)
+
+
 def star_reduction(d: np.ndarray, r: int) -> np.ndarray:
     """R_ij = d(i, r) + d(j, r) - d(i, j) over i, j != r."""
     others = [i for i in range(len(d)) if i != r]

@@ -30,8 +30,10 @@ from qegraph.winkler import parse_tree_text
 
 from conftest import (
     all_labeled_trees,
+    count_eigensolves,
     embedding_error,
     floyd_warshall,
+    glued_parts,
     part_graph,
     part_size,
     random_connected_graph,
@@ -479,3 +481,78 @@ class TestEmbedding:
     def test_non_qe_graph_rejected(self):
         with pytest.raises(EmbeddingError, match="not positive semidefinite"):
             reconstruct_embedding(make_theta(ThetaSpec(2, 2, 2)))
+
+    # K = L L^T by a float Cholesky where K is positive definite: trees,
+    # odd cycles, theta(1, 4, 6).  The singular kernels of the QEC = 0
+    # graphs (even cycles, theta(1, b, c) with an odd leg, theta(2, 3, c)
+    # for c = 3, 5, 7) fail it and are eigendecomposed once
+    @pytest.mark.parametrize(
+        "uri, solves",
+        [
+            ("cycle:41", 0),
+            ("path:30", 0),
+            ("theta:1,4,6", 0),
+            ("cycle:6", 1),
+            ("cycle:40", 1),
+            ("theta:1,2,3", 1),
+            ("theta:1,20,25", 1),
+            ("theta:2,3,5", 1),
+            ("theta:2,3,7", 1),
+        ],
+    )
+    def test_only_a_singular_kernel_is_eigendecomposed(self, monkeypatch, uri, solves):
+        calls = count_eigensolves(monkeypatch)
+        g = graph_from_uri(uri)
+        emb = reconstruct_embedding(g)
+        assert len(calls) == solves
+        assert embedding_error(emb.vectors, g) <= 1e-8
+        if not solves:
+            assert emb.vectors.shape == (g.n, g.n - 1)
+
+    def test_random_trees_are_factored_by_cholesky(self, monkeypatch, rng):
+        calls = count_eigensolves(monkeypatch)
+        for m in (2, 10, 40, 41):
+            g, _ = part_graph(rng, "tree", m)
+            emb = reconstruct_embedding(g)
+            assert emb.vectors.shape == (m, m - 1)
+            assert embedding_error(emb.vectors, g) <= 1e-8
+        assert calls == []
+
+    def test_indefinite_kernel_falls_back_and_is_rejected(self, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        with pytest.raises(EmbeddingError, match="not positive semidefinite"):
+            reconstruct_embedding(make_theta(ThetaSpec(2, 2, 2)))
+        assert len(calls) == 1
+
+    @given(
+        st.lists(
+            st.sampled_from(("odd-cycle", "even-cycle", "path", "star", "tree")),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_glued_parts_embed_at_scale(self, kinds, seed):
+        # 100-300 vertices in 1-4 parts glued at vertices.  The default
+        # tree's edges lie inside the parts and K vanishes across a cut
+        # vertex, so K is block diagonal by part: positive definite, and
+        # factored by Cholesky, unless an even cycle (nullity m / 2 - 1)
+        # makes it singular and it is eigendecomposed
+        rng = random.Random(seed)
+        k, sizes = len(kinds), []
+        for kind in kinds:
+            m = rng.randint(100 // k + 2, 300 // k - 1)
+            sizes.append(m | 1 if kind == "odd-cycle" else m & ~1 if kind == "even-cycle" else m)
+        parts = ["cycle" if kind.endswith("cycle") else kind for kind in kinds]
+        g, _ = glued_parts(rng, parts, sizes)
+        assert 100 <= g.n <= 300
+        singular = "even-cycle" in kinds
+        with pytest.MonkeyPatch.context() as mp:
+            calls = count_eigensolves(mp)
+            emb = reconstruct_embedding(g)
+        assert len(calls) == singular
+        assert embedding_error(emb.vectors, g) <= 1e-8
+        assert not emb.vectors[0].any()
+        if not singular:
+            assert emb.vectors.shape == (g.n, g.n - 1)
