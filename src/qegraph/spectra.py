@@ -4,13 +4,16 @@ The float route uses LAPACK's symmetric eigensolver through numpy.  The exact
 route scales a rational matrix to integers and decides positive
 semidefiniteness without any tolerance, by fraction-free elimination of each
 irreducible block (see _integer_psd_certificate), with an explicit
-negativity certificate when the answer is no.  Exact conditional negative
-definiteness is decided on an anchored reduction of the distance matrix
-(see _is_cnd_exact).
+negativity certificate when the answer is no.  A block is decided in one of
+four ways: a 1 x 1 block by its sign, a large sparse block over dict rows,
+any other large one as an int64 array, and the rest over Python ints.
+Exact conditional negative definiteness is decided on an anchored
+reduction of the distance matrix (see _is_cnd_exact).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -50,6 +53,22 @@ _INT64_SAFE = 2**31
 # 2 rows, 67 against 65 us at 10 and 152 against 112 us at 15: the two
 # cross at about 10 rows, below this cut.
 _NUMPY_MIN_DIM = 16
+
+# Irreducible blocks of at least _SPARSE_MIN_DIM rows with at most
+# _SPARSE_MAX_NNZ nonzero entries per row on average, the diagonal
+# included, run through _sparse_certificate.  On the blocks of the
+# benchmark workloads (2-CPU Xeon, one BLAS thread; medians, one block at a
+# time) at most 3.5 nonzeros per row took 18 us sparse against 17 us on
+# the dense loops at 4 rows, 25 against 31 at 5 and 22 against 31 at 6; at
+# most 3 per row, 41 against 74 at 9-12 rows and 120 against 465 at 37-48;
+# 3-3.5 per row, 150 against 712 at 37-48.  Past 8 per row the dense loops
+# win from 16 rows on (212 against 157 us at 16-24).  The density cut lies
+# above every 2K block of a cycle, or of a theta with a leg of length 1 or
+# 2 (3.34 per row at most, theta(2, 3, 3)), and below the sparsest exact
+# Schoenberg reduction of a cycle or a theta (4.0 per row, theta(1, 3, 4)),
+# which keeps the dense loops.
+_SPARSE_MIN_DIM = 6
+_SPARSE_MAX_NNZ = 3.5
 
 
 def _square_rows(m) -> list[list]:
@@ -229,11 +248,11 @@ def _pattern(mask: np.ndarray) -> tuple[list[int], list[int]]:
     return np.searchsorted(rows, np.arange(len(mask) + 1)).tolist(), cols.tolist()
 
 
-def _irreducible_blocks(a: np.ndarray) -> list[list[int]]:
-    """The connected components of the nonzero pattern, each in increasing
-    index order; the search stops once one component covers every index."""
-    m = len(a)
-    ends, cols = _pattern(a)
+def _irreducible_blocks(ends: list[int], cols: list[int]) -> list[list[int]]:
+    """The connected components of the nonzero pattern (ends, cols) of
+    _pattern, each in increasing index order; the search stops once one
+    component covers every index."""
+    m = len(ends) - 1
     seen = [False] * m
     found = 0
     blocks = []
@@ -349,6 +368,128 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
     return cert
 
 
+def _sparse_certificate(a: np.ndarray) -> list[int] | None:
+    """Fraction-free symmetric elimination of the irreducible integer block
+    a over dict rows: None iff a is PSD, else a certificate with gcd 1, as
+    _bareiss_certificate gives, though after other pivots.
+
+    Each step pivots on a live row of least degree (its off-diagonal
+    nonzeros), the lowest index first, popped from a heap keyed by degree,
+    then index, and stale keys are skipped; every live diagonal entry is
+    positive (below), so every pivot is.  Any order of positive pivots
+    keeps the verdict: eliminating a pivot p > 0 is a congruence of the
+    live block to [p] plus its Schur complement S, so the block is PSD iff
+    S is, and a vector v with <v, Sv> < 0 lifts to one for the block.
+
+    Lazy scaling.  After steps with pivots p_1 .. p_t (p_0 = 1), Bareiss's
+    live block is p_t S_t, S_t the Schur complement, and a step changes S
+    only between the pivot's neighbours.  So an entry written at step s,
+    v = p_s S_s(i, j), is kept as (v, s) and read at a later step t as
+    p_t S_t(i, j) = v * p_t / p_s, an exact division by Sylvester's
+    identity (both sides are minors of a); a step costs the square of the
+    pivot's degree, not the live block's size.  Entries that cancel to zero
+    are deleted, so a row holds its nonzeros only, and a row left with none
+    is a 1 x 1 block of its own, dropped unless its diagonal is negative.
+
+    The elimination stops at the first live diagonal entry that is
+    negative, certificate e_i, or zero beside a nonzero a_ij, certificate
+    max(a_jj, 1) e_i - a_ij e_j, whose form is -a_jj a_ij**2 or
+    (a_jj - 2) a_ij**2.  That vector is lifted back through the pivot
+    columns as _bareiss_int64 lifts it, in one gcd per step: with gcd(v)
+    = 1, the gcd of p v and x_k is gcd(p, x_k), and a step with x_k = 0
+    leaves v as it was."""
+    m = len(a)
+    us, js = np.nonzero(a)
+    rows = [{} for _ in range(m)]  # {column: (value, step written)}, None once gone
+    diag = [(0, 0)] * m
+    for u, j, x in zip(us.tolist(), js.tolist(), a[us, js].tolist()):
+        if u == j:
+            diag[u] = (x, 0)
+        else:
+            rows[u][j] = (x, 0)
+    pivots = [1]
+    steps = []  # (index, pivot, pivot column as of the step before)
+
+    def current(entry):
+        x, s = entry
+        return x * pivots[-1] // pivots[s]
+
+    def failing(i):
+        # the certificate on the live block when row i shows one, else None
+        d = current(diag[i])
+        if d < 0:
+            return {i: 1}
+        if d == 0 and rows[i]:
+            j = min(rows[i])
+            return {i: max(current(diag[j]), 1), j: -current(rows[i][j])}
+        return None
+
+    v = None
+    heap = []
+    for u, row in enumerate(rows):
+        if diag[u][0] <= 0:
+            v = failing(u)  # never None: each row of a has an off-diagonal nonzero
+            break
+        heap.append(len(row) * m + u)
+    heapq.heapify(heap)
+    while heap and v is None:
+        key = heapq.heappop(heap)
+        k = key % m
+        row = rows[k]
+        if row is None or len(row) != key // m:
+            continue
+        rows[k] = None
+        top, prev = len(pivots) - 1, pivots[-1]
+        x, s = diag[k]
+        p = x if s == top else x * prev // pivots[s]
+        col = {j: x if s == top else x * prev // pivots[s] for j, (x, s) in row.items()}
+        nbrs = list(col)
+        for pos, i in enumerate(nbrs):
+            ci, ri = col[i], rows[i]
+            del ri[k]
+            x, s = diag[i]
+            if s != top:
+                x = x * prev // pivots[s]
+            diag[i] = ((p * x - ci * ci) // prev, top + 1)
+            for j in nbrs[pos + 1 :]:
+                e = ri.get(j)
+                if e is None:
+                    x = 0
+                else:
+                    x, s = e
+                    if s != top:
+                        x = x * prev // pivots[s]
+                x = (p * x - ci * col[j]) // prev
+                if x:
+                    ri[j] = rows[j][i] = (x, top + 1)
+                elif e is not None:
+                    del ri[j], rows[j][i]
+        pivots.append(p)
+        steps.append((k, p, col))
+        for i in nbrs:
+            ri = rows[i]
+            if diag[i][0] <= 0:
+                v = failing(i)
+                if v is not None:
+                    break
+            if ri:
+                heapq.heappush(heap, len(ri) * m + i)
+            else:
+                rows[i] = None
+    if v is None:
+        return None
+    g = reduce(math.gcd, v.values())
+    v = {i: x // g for i, x in v.items()}
+    for k, p, col in reversed(steps):
+        xk = -sum([c * v[j] for j, c in col.items() if j in v])
+        if xk:
+            g = math.gcd(p, xk)
+            if g != p:
+                v = {i: p // g * x for i, x in v.items()}
+            v[k] = xk // g
+    return [v.get(i, 0) for i in range(m)]
+
+
 def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     """None iff the integer symmetric matrix is PSD; otherwise an integer
     vector v with gcd 1 and <v, Av> < 0.
@@ -361,8 +502,8 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     {i} is decided by the sign of a_ii, with certificate e_i when it is
     negative; a tree's 2K and its Schoenberg reduction are all such blocks.
 
-    Each block is decided by fraction-free (Bareiss) symmetric elimination
-    with diagonal pivoting: each step pivots on the first largest live
+    Every other block is decided by fraction-free (Bareiss) symmetric
+    elimination with diagonal pivoting: each step pivots on a positive live
     diagonal entry p and updates the live block by
     (p a_ij - a_ik a_kj) / prev, where prev is the previous pivot.  The
     division is exact by Sylvester's identity, and the live block stays prev
@@ -371,14 +512,28 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     certificate on the live block, lifted back through the stored pivot
     columns: x_k = -(col_k . v) / p, scaled by p to stay integral.
 
-    A block of at least _NUMPY_MIN_DIM rows with int64 entries runs
-    through _bareiss_int64, any other over Python ints on its lower
-    triangle; both give the same pivots and the same certificate.
+    Which elimination runs depends on the block's shape, read from the
+    nonzero pattern that splits the blocks:
+    - a sparse block, of at least _SPARSE_MIN_DIM rows and at most
+      _SPARSE_MAX_NNZ nonzeros per row on average, runs through
+      _sparse_certificate, which pivots on a live row of least degree and
+      touches only the pivot's neighbours; the 2K of a cycle or a theta over
+      its default tree is such a block;
+    - any other block of at least _NUMPY_MIN_DIM rows with int64 entries
+      runs through _bareiss_int64, and the rest over Python ints on its
+      lower triangle; both pivot on the first largest live diagonal entry,
+      so both give the same pivots and the same certificate.
+    The sparse path pivots in another order, so its certificate may differ
+    from theirs; every certificate is re-checked by the caller.
     """
-    for block in _irreducible_blocks(a):
-        if len(block) == 1:
+    ends, cols = _pattern(a)
+    for block in _irreducible_blocks(ends, cols):
+        size = len(block)
+        if size == 1:
             cert = [1] if a[block[0], block[0]] < 0 else None
-        elif len(block) >= _NUMPY_MIN_DIM and a.dtype == np.int64:
+        elif size >= _SPARSE_MIN_DIM and sum([ends[u + 1] - ends[u] for u in block]) <= _SPARSE_MAX_NNZ * size:
+            cert = _sparse_certificate(_principal(a, block))
+        elif size >= _NUMPY_MIN_DIM and a.dtype == np.int64:
             cert = _bareiss_int64(_principal(a, block))
         else:
             cert = _bareiss_certificate(_lower(_principal(a, block)))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from qegraph import (
     ThetaSpec,
     Tolerances,
     classify_winkler,
+    default_orientation_and_tree,
     distance_matrix,
     eigen_sym,
     fixtures,
@@ -39,6 +41,7 @@ from conftest import (
     is_connected,
     is_isometric,
     random_connected_graph,
+    tree_two_k,
 )
 
 
@@ -644,6 +647,196 @@ class TestSingletonBlocks:
             assert classify_winkler(g, mode="exact").is_qe
             assert is_psd(winkler_kernel(g).two_k, mode="exact").is_psd
             assert is_cnd(distance_matrix(g), mode="exact").is_cnd
+
+
+def on_dense_path(decide, m):
+    """decide(m) with every block below the sparse cut, so on the int64 or
+    list loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_SPARSE_MIN_DIM", 10**9)
+        return decide(m)
+
+
+def sparse_edges(rng: np.random.Generator, n: int, kind: str) -> list[tuple[int, int]]:
+    """The off-diagonal pattern of a sparse case on n indices, relabelled at
+    random: a path, a random tree, or a cycle with up to n // 4 chords,
+    whose elimination fills in."""
+    if kind == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif kind == "tree":
+        edges = [(int(rng.integers(v)), v) for v in range(1, n)]
+    else:
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        for _ in range(int(rng.integers(0, n // 4 + 1))):
+            i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+            edges.append((i, j))
+    perm = rng.permutation(n).tolist()
+    return [(perm[i], perm[j]) for i, j in edges]
+
+
+def draw_sparse_case(rng: np.random.Generator, n: int, kind: str, pattern: str) -> tuple[np.ndarray, bool | None]:
+    """An n x n sparse integer symmetric matrix on the pattern, and whether
+    it is PSD where that is known by construction (None otherwise)."""
+    edges = sparse_edges(rng, n, pattern)
+    a = np.zeros((n, n), dtype=np.int64)
+    if kind == "dominant":
+        # diagonal near the absolute off-diagonal row sum: either verdict
+        for i, j in edges:
+            a[i, j] = a[j, i] = int(rng.choice((-3, -2, -1, 1, 2, 3)))
+        a[np.diag_indices(n)] = np.abs(a).sum(axis=1) + rng.integers(-3, 2, size=n)
+        return a, None
+    # a sparse factor: B has a row w (s_i e_i - s_j e_j) per edge, so B s = 0
+    # for the signs s, and A = B^T B is PSD and singular
+    signs = rng.choice((-1, 1), size=n)
+    for i, j in edges:
+        row = np.zeros(n, dtype=np.int64)
+        row[i], row[j] = signs[i], -signs[j]
+        a += int(rng.choice((1, 2, 3))) ** 2 * np.multiply.outer(row, row)
+    k = int(rng.integers(n))
+    if kind == "planted-psd":
+        a[np.diag_indices(n)] += rng.integers(0, 2, size=n) * rng.integers(0, 3, size=n)
+        return a, True
+    if kind == "planted-not-psd":
+        a[k, k] -= int(rng.integers(1, 4))  # s^T A s = -c
+        return a, False
+    # a zero diagonal entry beside a nonzero one in its row: the 2 x 2 minor
+    # there is negative
+    a[k, k] = 0
+    return a, not a[k].any()
+
+
+class TestSparseElimination:
+    """Irreducible blocks of at least _SPARSE_MIN_DIM rows with at most
+    _SPARSE_MAX_NNZ nonzeros per row run through _sparse_certificate; its
+    verdict must be the dense loops' and its certificate must re-check."""
+
+    @given(
+        st.integers(min_value=6, max_value=40),
+        st.sampled_from(("dominant", "planted-psd", "planted-not-psd", "zero-diagonal")),
+        st.sampled_from(("path", "tree", "chords")),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_dense_verdict(self, n, kind, pattern, big, seed):
+        a, truth = draw_sparse_case(np.random.default_rng(seed), n, kind, pattern)
+        if big:
+            # an object array of Python ints past 2**31: the same verdicts
+            a = np.array((a * 2**33).tolist(), dtype=object)
+        calls = []
+        real = spectra._sparse_certificate
+        with pytest.MonkeyPatch.context() as mp:
+            # the pattern is connected and inside the cut: one sparse block
+            mp.setattr(spectra, "_sparse_certificate", lambda m: calls.append(len(m)) or real(m))
+            verdict = is_psd(a, mode="exact")
+        assert calls == [n]
+        dense = on_dense_path(lambda m: is_psd(m, mode="exact"), a)
+        assert verdict.is_psd == dense.is_psd
+        if truth is not None:
+            assert verdict.is_psd == truth
+        if not verdict.is_psd:
+            cert = verdict.certificate
+            assert type(cert) is tuple and all(type(x) is int for x in cert)
+            assert math.gcd(*cert) == 1
+            assert int_form(a, cert) == verdict.certificate_value < 0
+
+    @pytest.mark.parametrize("c, d", [(1, 6), (1, 1), (2, 3)])
+    def test_a_zero_pivot_left_by_elimination_stops_it(self, monkeypatch, c, d):
+        # on a cycle of 8 rows the first pivot is 0, the lowest index of
+        # least degree; with a_00 = a_01 = a_11 = 1 and a_02 = c it leaves
+        # a_11 = 0 beside the fill a_12 = -c, and a_22 = d - c**2 positive,
+        # zero or negative, so the certificate max(a_22, 1) e_1 - a_12 e_2
+        # lifts through pivot 0 alone
+        n = 8
+        a = 3 * np.eye(n, dtype=np.int64)
+        for i, j in ((0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 7)):
+            a[i, j] = a[j, i] = 1
+        a[0, 0] = a[1, 1] = 1
+        a[0, 2] = a[2, 0] = c
+        a[2, 2] = d
+        calls = []
+        real = spectra._sparse_certificate
+        monkeypatch.setattr(spectra, "_sparse_certificate", lambda m: calls.append(len(m)) or real(m))
+        verdict = is_psd(a, mode="exact")
+        assert calls == [n] and not verdict.is_psd
+        assert set(np.flatnonzero(verdict.certificate).tolist()) == {0, 1, 2}
+        assert int_form(a, verdict.certificate) == verdict.certificate_value < 0
+
+    def test_exact_winkler_at_north_star_sizes(self):
+        for uri in ("cycle:1001", "theta:1,500,500"):
+            verdict = classify_winkler(graph_from_uri(uri), mode="exact")
+            assert verdict.is_qe and verdict.mode_used == "exact"
+        for uri in ("theta:2,3,195", "theta:3,40,60"):
+            g = graph_from_uri(uri)
+            verdict = classify_winkler(g, mode="exact")
+            assert not verdict.is_qe and verdict.mode_used == "exact"
+            two_k = tree_two_k(floyd_warshall(g), default_orientation_and_tree(g).tree_edges)
+            value = int_form(two_k, verdict.evidence["certificate"])
+            assert Fraction(value, 2) == Fraction(verdict.evidence["certificate_value"]) < 0
+        for uri in ("cycle:301", "theta:1,150,150"):
+            two_k = winkler_kernel(graph_from_uri(uri)).two_k
+            dense = on_dense_path(lambda m: is_psd(m, mode="exact"), two_k)
+            assert is_psd(two_k, mode="exact").is_psd and dense.is_psd
+
+    @pytest.fixture
+    def sparse_calls(self, monkeypatch) -> list[int]:
+        calls = []
+        real = spectra._sparse_certificate
+        monkeypatch.setattr(spectra, "_sparse_certificate", lambda m: calls.append(len(m)) or real(m))
+        return calls
+
+    @staticmethod
+    def components(a: np.ndarray) -> list[tuple[list[int], int]]:
+        """The connected components of the nonzero pattern, each with its
+        number of nonzero entries."""
+        todo, found = set(range(len(a))), []
+        while todo:
+            block, nonzeros = [todo.pop()], 0
+            for i in block:  # grows while it is read
+                row = {int(j) for j in np.flatnonzero(a[i])}
+                nonzeros += len(row)
+                block += row & todo
+                todo -= row
+            found.append((sorted(block), nonzeros))
+        return found
+
+    def test_kernels_of_cycles_and_thetas_take_it(self, sparse_calls):
+        # each irreducible block of 2K, decided on its own, runs through it
+        # iff it is inside the cut
+        thetas = [
+            ThetaSpec(a, b, c) for a in range(1, 5) for b in range(max(a, 2), 9) for c in range(b, 14)
+        ]
+        odd_cycles = [make_cycle(m) for m in range(7, 60, 2)]
+        other_cycles = [make_cycle(m) for m in (3, 4, 5, 6, *range(8, 60, 2))]
+        taken = []
+        for g in odd_cycles + other_cycles + [make_theta(s) for s in thetas]:
+            two_k = winkler_kernel(g).two_k
+            took = False
+            for block, nonzeros in self.components(two_k):
+                size = len(block)
+                inside = size >= spectra._SPARSE_MIN_DIM and nonzeros <= spectra._SPARSE_MAX_NNZ * size
+                sparse_calls.clear()
+                is_psd(two_k[np.ix_(block, block)], mode="exact")
+                assert sparse_calls == ([size] if inside else [])
+                took = took or inside
+            taken.append(took)
+        assert all(taken[: len(odd_cycles)]) and sum(taken) > len(taken) // 2
+
+    def test_dense_blocks_keep_the_dense_loops(self, sparse_calls):
+        # the exact Schoenberg reductions of cycles and thetas, among them
+        # the sparsest, theta(1, 3, 4)'s at 4 nonzeros per row, and the
+        # planted Gram blocks of TestInt64Elimination
+        thetas = [ThetaSpec(a, b, c) for a in range(1, 5) for b in range(max(a, 2), 8) for c in range(b, 12)]
+        graphs = [make_cycle(m) for m in range(3, 80)] + [make_theta(s) for s in thetas]
+        graphs += [graph_from_uri(uri) for uri in ("theta:2,3,41", "theta:1,20,27", "theta:3,10,30")]
+        for g in graphs:
+            is_cnd(distance_matrix(g), mode="exact")
+        rng = np.random.default_rng(23)
+        for n in range(12, 61, 4):
+            for _ in range(3):
+                gram, _ = draw_planted_case(rng, n, "gram")
+                assert is_psd(gram, mode="exact").is_psd
+        assert sparse_calls == []
 
 
 class TestCnd:
