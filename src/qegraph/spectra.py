@@ -4,8 +4,10 @@ The float route uses LAPACK's symmetric eigensolver through numpy.  The exact
 route scales a rational matrix to integers and decides positive
 semidefiniteness without any tolerance, by fraction-free elimination of each
 irreducible block (see _integer_psd_certificate), with an explicit
-negativity certificate when the answer is no.  A block is decided in one of
-four ways: a 1 x 1 block by its sign, a large sparse block over dict rows,
+negativity certificate when the answer is no.  The dispatch, in order: a
+diagonal matrix is decided from its diagonal, a large dense int64 matrix
+that is one block goes whole to the int64 loop, all blocks of 1 and 2 rows
+are decided in one pass, a large sparse block is eliminated over dict rows,
 any other large one as an int64 array, and the rest over Python ints.
 Exact conditional negative definiteness is decided on an anchored
 reduction of the distance matrix (see _is_cnd_exact).
@@ -241,11 +243,13 @@ def _zero_pivot_certificate(low: list[list[int]]) -> list[int] | None:
     return None
 
 
-def _pattern(mask: np.ndarray) -> tuple[list[int], list[int]]:
-    """The row index of the nonzero pattern of a square array: the nonzero
-    columns of row u are cols[ends[u] : ends[u + 1]], in increasing order."""
-    rows, cols = np.nonzero(mask)
-    return np.searchsorted(rows, np.arange(len(mask) + 1)).tolist(), cols.tolist()
+def _pattern(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+    """The nonzero pattern of a square array: its positions (us, js) in
+    row-major order, as np.nonzero gives them, and their row index as
+    lists: the nonzero columns of row u are cols[ends[u] : ends[u + 1]], in
+    increasing order."""
+    us, js = np.nonzero(mask)
+    return us, js, np.searchsorted(us, np.arange(len(mask) + 1)).tolist(), js.tolist()
 
 
 def _irreducible_blocks(ends: list[int], cols: list[int]) -> list[list[int]]:
@@ -303,12 +307,16 @@ def _bareiss_certificate(low: list[list[int]], prev: int = 1) -> list[int] | Non
     v = _zero_pivot_certificate(low)
     if v is None:
         return None
+    # the lift of _sparse_certificate: with gcd(v) = 1, the gcd of p v and
+    # x_k is gcd(p, x_k), and a step with x_k = 0 leaves v as it was
     for k, p, col in reversed(pivots):
-        xk = -sum(a * b for a, b in zip(col, v))
-        v = [p * x for x in v]
+        xk = -sum([a * b for a, b in zip(col, v)])
+        if xk:
+            g = math.gcd(p, xk)
+            if g != p:
+                v = [p // g * x for x in v]
+            xk //= g
         v.insert(k, xk)
-        g = reduce(math.gcd, v)
-        v = [x // g for x in v]
     return v
 
 
@@ -328,7 +336,7 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
     the handoff comes at the step where a scan before every step would
     make it.  Either certificate is lifted back through the pivots here as
     the list loop lifts through its own."""
-    pivots = []  # (index, pivot, pivot row as Python ints)
+    pivots = []  # (index, pivot, pivot row as an int64 copy)
     prev = 1
     bound = _INT64_SAFE  # scan before the first step
     while True:
@@ -340,7 +348,7 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
             break
         c = a[k]
         cc = np.multiply.outer(c, c)
-        pivots.append((k, p, c.tolist()))
+        pivots.append((k, p, c.copy()))
         a *= p
         a -= cc
         if prev != 1:
@@ -356,22 +364,46 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
     # v lives on support, the indices still live after pivot k: the entries
     # of the list loop's pivot column, in another order
     for k, p, col in reversed(pivots):
+        col = col.tolist()
         xk = -sum([col[i] * x for i, x in zip(support, v)])
-        v = [p * x for x in v]
+        if xk:
+            g = math.gcd(p, xk)
+            if g != p:
+                v = [p // g * x for x in v]
+            xk //= g
         v.append(xk)
         support.append(k)
-        g = reduce(math.gcd, v)
-        v = [x // g for x in v]
     cert = [0] * len(a)
     for i, x in zip(support, v):
         cert[i] = x
     return cert
 
 
-def _sparse_certificate(a: np.ndarray) -> list[int] | None:
-    """Fraction-free symmetric elimination of the irreducible integer block
-    a over dict rows: None iff a is PSD, else a certificate with gcd 1, as
-    _bareiss_certificate gives, though after other pivots.
+def _block_rows(a: np.ndarray, block: list[int], us: np.ndarray, js: np.ndarray) -> list[dict]:
+    """The principal block of a on block, an irreducible block of its
+    nonzero positions (us, js) from _pattern, in the form that
+    _sparse_certificate reads: one dict {position: (entry, 0)} of its
+    nonzero entries per row, the diagonal included, each entry tagged as
+    written at step 0."""
+    n, m = len(a), len(block)
+    values = a[us, js]
+    if m < n:
+        position = np.full(n, -1)
+        position[block] = np.arange(m)
+        us, js = position[us], position[js]
+        inside = us >= 0  # and so js >= 0: a block is closed under the pattern
+        us, js, values = us[inside], js[inside], values[inside]
+    rows = [{} for _ in range(m)]
+    for u, j, x in zip(us.tolist(), js.tolist(), values.tolist()):
+        rows[u][j] = (x, 0)
+    return rows
+
+
+def _sparse_certificate(rows: list[dict]) -> list[int] | None:
+    """Fraction-free symmetric elimination of an irreducible integer block,
+    given by _block_rows, which it consumes, over dict rows: None iff the
+    block is PSD, else a certificate with gcd 1, as _bareiss_certificate
+    gives, though after other pivots.
 
     Each step pivots on a live row of least degree (its off-diagonal
     nonzeros), the lowest index first, popped from a heap keyed by degree,
@@ -398,15 +430,8 @@ def _sparse_certificate(a: np.ndarray) -> list[int] | None:
     columns as _bareiss_int64 lifts it, in one gcd per step: with gcd(v)
     = 1, the gcd of p v and x_k is gcd(p, x_k), and a step with x_k = 0
     leaves v as it was."""
-    m = len(a)
-    us, js = np.nonzero(a)
-    rows = [{} for _ in range(m)]  # {column: (value, step written)}, None once gone
-    diag = [(0, 0)] * m
-    for u, j, x in zip(us.tolist(), js.tolist(), a[us, js].tolist()):
-        if u == j:
-            diag[u] = (x, 0)
-        else:
-            rows[u][j] = (x, 0)
+    m = len(rows)  # rows[u] = {column: (value, step written)}, None once gone
+    diag = [row.pop(u, (0, 0)) for u, row in enumerate(rows)]
     pivots = [1]
     steps = []  # (index, pivot, pivot column as of the step before)
 
@@ -490,55 +515,104 @@ def _sparse_certificate(a: np.ndarray) -> list[int] | None:
     return [v.get(i, 0) for i in range(m)]
 
 
+def _one_block(a: np.ndarray) -> bool:
+    """Whether every index of a shares a nonzero column with the densest
+    row, so that the nonzero pattern joins each index to that row in at
+    most two steps and a is one irreducible block.  One float32 mat-vec of
+    the 0/1 pattern counts the shared columns, exactly below 2**24 rows."""
+    pattern = (a != 0).astype(np.float32)
+    return bool((pattern @ pattern[pattern.sum(axis=1).argmax()]).all())
+
+
+def _failing_pairs(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Which of the blocks [[x, y], [y, z]], given by the arrays of their
+    entries, are not PSD: those with a negative diagonal entry or a
+    negative determinant.  A 1 x 1 block [x], given as x = y = z, fails iff
+    x < 0."""
+    return (np.minimum(x, z) < 0) | (x * z < y * y)
+
+
 def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     """None iff the integer symmetric matrix is PSD; otherwise an integer
     vector v with gcd 1 and <v, Av> < 0.
 
-    The index set first splits into the connected components of the nonzero
-    pattern.  A symmetric matrix that permutes to block-diagonal form is PSD
-    iff every block is, and <v, Av> = <v_B, A_BB v_B> for a v supported on
-    one block B, so a failing block's certificate, padded with zeros at the
-    other indices, is a certificate for the whole matrix.  A 1 x 1 block
-    {i} is decided by the sign of a_ii, with certificate e_i when it is
-    negative; a tree's 2K and its Schoenberg reduction are all such blocks.
+    A symmetric matrix that permutes to block-diagonal form is PSD iff
+    every irreducible block (connected component of the nonzero pattern)
+    is, and <v, Av> = <v_B, A_BB v_B> for a v supported on one block B, so
+    a failing block's certificate, padded with zeros at the other indices,
+    is a certificate for the whole matrix; the first failing block in
+    index order is the one reported.
 
-    Every other block is decided by fraction-free (Bareiss) symmetric
-    elimination with diagonal pivoting: each step pivots on a positive live
-    diagonal entry p and updates the live block by
-    (p a_ij - a_ik a_kj) / prev, where prev is the previous pivot.  The
-    division is exact by Sylvester's identity, and the live block stays prev
-    times the Schur complement, so it keeps the definiteness of the
-    remainder.  When no positive pivot is left, the zero-pivot rules give a
-    certificate on the live block, lifted back through the stored pivot
-    columns: x_k = -(col_k . v) / p, scaled by p to stay integral.
+    Each block is decided by fraction-free (Bareiss) symmetric elimination
+    with diagonal pivoting: each step pivots on a positive live diagonal
+    entry p and updates the live block by (p a_ij - a_ik a_kj) / prev,
+    where prev is the previous pivot.  The division is exact by Sylvester's
+    identity, and the live block stays prev times the Schur complement, so
+    it keeps the definiteness of the remainder.  When no positive pivot is
+    left, the zero-pivot rules give a certificate on the live block, lifted
+    back through the stored pivot columns: x_k = -(col_k . v) / p, scaled by
+    p to stay integral.
 
-    Which elimination runs depends on the block's shape, read from the
-    nonzero pattern that splits the blocks:
+    The dispatch, in order:
+    - a diagonal matrix, such as a tree's 2K and its Schoenberg reduction,
+      is decided from its diagonal in one pass, certificate e_i at the
+      first negative entry;
+    - an int64 matrix of at least _NUMPY_MIN_DIM rows with more than
+      _SPARSE_MAX_NNZ nonzeros per row that _one_block finds irreducible,
+      such as the exact Schoenberg reduction of a cycle or a theta, goes to
+      _bareiss_int64 whole, with no pattern scan;
+    - otherwise the pattern splits the blocks.  Every block of 1 or 2 rows
+      is decided at once by _failing_pairs, and only the first failing one
+      is eliminated, for its certificate; the 2K of an even cycle, or of
+      theta(1, b, c) with c odd and b odd or 2, is all such blocks;
     - a sparse block, of at least _SPARSE_MIN_DIM rows and at most
-      _SPARSE_MAX_NNZ nonzeros per row on average, runs through
-      _sparse_certificate, which pivots on a live row of least degree and
-      touches only the pivot's neighbours; the 2K of a cycle or a theta over
-      its default tree is such a block;
+      _SPARSE_MAX_NNZ nonzeros per row, runs through _sparse_certificate,
+      which pivots on a live row of least degree and touches only the
+      pivot's neighbours; the 2K of a cycle or a theta over its default
+      tree is such a block;
     - any other block of at least _NUMPY_MIN_DIM rows with int64 entries
-      runs through _bareiss_int64, and the rest over Python ints on its
-      lower triangle; both pivot on the first largest live diagonal entry,
-      so both give the same pivots and the same certificate.
-    The sparse path pivots in another order, so its certificate may differ
+      runs through _bareiss_int64;
+    - the rest run over Python ints on their lower triangle.
+    _bareiss_int64 and the list loop both pivot on the first largest live
+    diagonal entry, so both give the same pivots and the same certificate,
+    and each shortcut gives the certificate the per-block loop would.  The
+    sparse path pivots in another order, so its certificate may differ
     from theirs; every certificate is re-checked by the caller.
     """
-    ends, cols = _pattern(a)
-    for block in _irreducible_blocks(ends, cols):
+    n = len(a)
+    diagonal = a.diagonal()
+    nonzeros = np.count_nonzero(a)
+    if nonzeros == np.count_nonzero(diagonal):
+        negative = np.flatnonzero(diagonal < 0)
+        if not len(negative):
+            return None
+        v = [0] * n
+        v[negative[0]] = 1
+        return v
+    if a.dtype == np.int64 and n >= _NUMPY_MIN_DIM and nonzeros > _SPARSE_MAX_NNZ * n and _one_block(a):
+        return _bareiss_int64(a.copy())
+    us, js, ends, cols = _pattern(a)
+    blocks = _irreducible_blocks(ends, cols)
+    pairs = [block for block in blocks if len(block) < 3]
+    first = None
+    if pairs:
+        i = np.array([block[0] for block in pairs])
+        j = np.array([block[-1] for block in pairs])
+        failing = _failing_pairs(diagonal[i], a[i, j], diagonal[j])
+        if failing.any():
+            first = pairs[failing.argmax()]
+    for block in blocks:
         size = len(block)
-        if size == 1:
-            cert = [1] if a[block[0], block[0]] < 0 else None
-        elif size >= _SPARSE_MIN_DIM and sum([ends[u + 1] - ends[u] for u in block]) <= _SPARSE_MAX_NNZ * size:
-            cert = _sparse_certificate(_principal(a, block))
+        if size < 3 and block is not first:
+            continue
+        if size >= _SPARSE_MIN_DIM and sum([ends[u + 1] - ends[u] for u in block]) <= _SPARSE_MAX_NNZ * size:
+            cert = _sparse_certificate(_block_rows(a, block, us, js))
         elif size >= _NUMPY_MIN_DIM and a.dtype == np.int64:
             cert = _bareiss_int64(_principal(a, block))
         else:
             cert = _bareiss_certificate(_lower(_principal(a, block)))
         if cert is not None:
-            v = [0] * len(a)
+            v = [0] * n
             for i, x in zip(block, cert):
                 v[i] = x
             return v
@@ -683,7 +757,7 @@ def _block_anchors(a: np.ndarray, r: int) -> list[int] | None:
     low(u) >= order(h), the vertices found since u, which are still open,
     form with h a block headed by h."""
     n = len(a)
-    ends, cols = _pattern(a == 1)
+    _, _, ends, cols = _pattern(a == 1)
     if ends == list(range(0, 2 * n + 1, 2)):
         return [r] * n
     order = [0] * n  # discovery number, from 1; 0 while unseen

@@ -319,6 +319,36 @@ class TestClassify:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "decision: QE"
 
+    # certificate and certificate_value of the exact schoenberg and winkler
+    # verdicts, pinned so that a change to the elimination's dispatch or to
+    # its certificate lift shows as a diff here
+    GOLDEN_EXACT = {
+        "theta:2,3,9": (
+            ([-4, -5, 11, 10, -2, -4, -4, -4, 0, 14, -4, -4, -4], "10"),
+            ([-5, 8, 2, -16, 10, 6, -12, 10, -8, 14, -4, 0], "-5"),
+        ),
+        "theta:2,3,21": (
+            ([-4, -11, 29, 22, -2] + [-4] * 9 + [0, 38] + [-4] * 9, "154"),
+            ([-11, 20, 2, -40, 22, 6, -36, 10, -32, 14, -28, 18, -24, 22, -20, 26, -16, 30, -12, 34, -8, 38, -4, 0], "-77"),
+        ),
+        "theta:2,2,7": (
+            ([-8, -8, 19, 9, -8, -8, 10, 10, -8, -8], "180"),
+            ([0, -6, -1, 6, -3, 4, -5, 2, 0], "-15"),
+        ),
+        "theta:3,4,5": (
+            ([-16, -9, 5, 12, -2, 12, -2, 0, 7, 0, -7], "140"),
+            ([0, -1, 0, 0, 0, -2, 2, 0, 0, 0], "-1"),
+        ),
+    }
+
+    @pytest.mark.parametrize("uri", sorted(GOLDEN_EXACT))
+    def test_exact_certificates_are_pinned(self, capsys, uri):
+        code, out, _ = run_cli(capsys, "classify", uri, "--mode", "exact", "--format", "json")
+        assert code == 1
+        verdicts = {v["method"]: v["evidence"] for v in json.loads(out)["verdicts"]}
+        got = tuple((verdicts[m]["certificate"], verdicts[m]["certificate_value"]) for m in ("schoenberg", "winkler"))
+        assert got == self.GOLDEN_EXACT[uri]
+
 
 class TestQecCommand:
     def test_cycle_value(self, capsys):

@@ -839,6 +839,290 @@ class TestSparseElimination:
         assert sparse_calls == []
 
 
+def per_block_loop(a: np.ndarray) -> list[int] | None:
+    """The reference for the exact dispatch: the irreducible blocks, found
+    by TestSparseElimination.components, in index order, each decided on
+    its own, a 1 x 1 block by its sign and any other by the list loop, with
+    no diagonal pass, no whole-matrix shortcut and no pass over the blocks
+    of 1 and 2 rows; the first failing block's certificate padded with
+    zeros."""
+    for block, _ in sorted(TestSparseElimination.components(a)):
+        if len(block) == 1:
+            cert = [1] if a[block[0], block[0]] < 0 else None
+        else:
+            cert = spectra._bareiss_certificate([row[: t + 1] for t, row in enumerate(a[np.ix_(block, block)].tolist())])
+        if cert is not None:
+            v = [0] * len(a)
+            for i, x in zip(block, cert):
+                v[i] = x
+            return v
+    return None
+
+
+PAIR_KINDS = (
+    "1x1-negative",
+    "1x1-zero",
+    "1x1-positive",
+    "negative-diagonal",
+    "zero-beside-nonzero",
+    "det-x>z",
+    "det-x<z",
+    "det-x=z",
+    "singular",
+    "definite",
+)
+
+
+def draw_pair(rng: np.random.Generator, kind: str) -> list[list[int]]:
+    """A block of 1 row, or of 2 rows [[x, y], [y, z]] with y != 0, of the
+    kind named: failing on a negative diagonal entry, on a zero diagonal
+    entry beside y, or on xz < y**2 with x > z, x < z or x = z; PSD and
+    singular (xz = y**2) or positive definite."""
+
+    def r(lo, hi):
+        return int(rng.integers(lo, hi + 1))
+
+    if kind.startswith("1x1"):
+        return [[{"1x1-negative": -r(1, 5), "1x1-zero": 0, "1x1-positive": r(1, 5)}[kind]]]
+    sign = int(rng.choice((-1, 1)))
+    y = sign * r(1, 4)
+    if kind == "negative-diagonal":
+        x, z = -r(1, 4), r(-4, 6)
+    elif kind == "zero-beside-nonzero":
+        x, z = 0, r(-3, 6)
+    elif kind in ("det-x>z", "det-x<z"):
+        z = r(0, 5)
+        x = z + r(1, 5)
+        y = sign * (math.isqrt(x * z) + r(1, 3))
+    elif kind == "det-x=z":
+        x = z = r(1, 6)
+        y = sign * (x + r(1, 3))
+    elif kind == "singular":
+        s, t, k = r(1, 3), r(1, 3), r(1, 3)
+        x, z, y = k * s * s, k * t * t, sign * k * s * t
+    else:
+        x, z = r(2, 6), r(2, 6)
+        y = sign * r(1, math.isqrt(x * z - 1))
+    if kind == "det-x<z" or (kind in ("negative-diagonal", "zero-beside-nonzero") and rng.random() < 0.5):
+        x, z = z, x
+    return [[x, y], [y, z]]
+
+
+class TestSmallBlocks:
+    """Every block of 1 or 2 rows is decided in one pass; the verdict and
+    the certificate must be those of the per-block loop."""
+
+    @given(
+        st.lists(st.sampled_from(PAIR_KINDS + ("larger",)), min_size=1, max_size=14),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_block_loop(self, kinds, big, seed):
+        rng = np.random.default_rng(seed)
+        parts = []
+        for kind in kinds:
+            if kind == "larger":
+                size = int(rng.integers(3, 21))
+                part_kind = str(rng.choice(("gram", "shifted", "zero-diagonal")))
+                parts.append(draw_planted_case(rng, size, part_kind)[0])
+            else:
+                parts.append(np.array(draw_pair(rng, kind), dtype=np.int64))
+        n = sum(len(p) for p in parts)
+        a = np.zeros((n, n), dtype=np.int64)
+        lo = 0
+        for p in parts:
+            a[lo : lo + len(p), lo : lo + len(p)] = p
+            lo += len(p)
+        perm = rng.permutation(n)
+        a = a[np.ix_(perm, perm)]
+        if big:
+            a = np.array([[x << 33 for x in row] for row in a.tolist()], dtype=object)
+        want = per_block_loop(a)
+        # the larger blocks on the int64 or the list loop, which give the
+        # list loop's certificate
+        got = on_dense_path(spectra._integer_psd_certificate, a)
+        assert got == want
+        verdict = on_dense_path(lambda m: is_psd(m, mode="exact"), a)
+        assert verdict.is_psd == (want is None)
+        if want is not None:
+            assert int_form(a, verdict.certificate) == verdict.certificate_value < 0
+
+    @pytest.mark.parametrize("scale", [1, 10**12])
+    def test_pair_rule_matches_the_list_loop_on_every_small_triple(self, scale):
+        triples = [(x * scale, y * scale, z * scale) for x, y, z in itertools.product(range(-4, 7), repeat=3)]
+        dtype = np.int64 if scale == 1 else object
+        x, y, z = (np.array(column, dtype=dtype) for column in zip(*triples))
+        failing = spectra._failing_pairs(x, y, z).tolist()
+        for (xi, yi, zi), fails in zip(triples, failing):
+            want = spectra._bareiss_certificate([[xi], [yi, zi]])
+            assert fails == (want is not None), (xi, yi, zi)
+            a = np.array([[xi, yi], [yi, zi]], dtype=dtype)
+            assert spectra._integer_psd_certificate(a) == want, (xi, yi, zi)
+
+    def test_two_row_kernel_blocks_skip_the_list_loop(self, monkeypatch):
+        # the 2K of an even cycle, or of theta(1, b, c) with c odd and b odd
+        # or 2, is all blocks of 2 rows: decided with no elimination call
+        # when PSD
+        calls = []
+        for name in ("_bareiss_certificate", "_bareiss_int64", "_sparse_certificate", "_lower"):
+            monkeypatch.setattr(spectra, name, lambda *args, name=name: calls.append(name))
+        graphs = [make_cycle(m) for m in range(8, 50, 2)]
+        graphs += [make_theta(ThetaSpec(1, b, c)) for b in range(2, 12) for c in range(b, 30) if c % 2 and (b % 2 or b == 2)]
+        for g in graphs:
+            two_k = winkler_kernel(g).two_k
+            assert max(len(block) for block, _ in TestSparseElimination.components(two_k)) == 2
+            assert is_psd(two_k, mode="exact").is_psd
+        assert calls == []
+
+
+def list_loop_rescaling_lift(low: list[list[int]], prev: int = 1) -> list[int] | None:
+    """The reference for the certificate lift: the list loop with the lift
+    it had before one gcd per step, which rescales the whole vector by the
+    pivot and divides it by the gcd of all its entries at every step."""
+    pivots = []
+    while low:
+        k = max(range(len(low)), key=lambda i: low[i][-1])
+        p = low[k][-1]
+        if p <= 0:
+            break
+        col = low.pop(k)
+        del col[k:]
+        for row in low[k:]:
+            col.append(row.pop(k))
+        for i, c in enumerate(col):
+            if c:
+                low[i] = [(p * x - c * y) // prev for x, y in zip(low[i], col)]
+            elif p != prev:
+                low[i] = [p * x // prev for x in low[i]]
+        pivots.append((k, p, col))
+        prev = p
+    v = spectra._zero_pivot_certificate(low)
+    if v is None:
+        return None
+    for k, p, col in reversed(pivots):
+        xk = -sum(a * b for a, b in zip(col, v))
+        v = [p * x for x in v]
+        v.insert(k, xk)
+        g = math.gcd(*v)
+        v = [x // g for x in v]
+    return v
+
+
+def lower(a: np.ndarray) -> list[list[int]]:
+    return [row[: t + 1] for t, row in enumerate(a.tolist())]
+
+
+class TestCertificateLift:
+    """The dense loops lift a certificate with one gcd(p, x_k) per step and
+    skip the steps with x_k = 0; the vector must be the one the rescaling
+    lift gives."""
+
+    @staticmethod
+    def check(a: np.ndarray) -> list[int]:
+        want = list_loop_rescaling_lift(lower(a))
+        assert want is not None and math.gcd(*want) == 1
+        assert spectra._bareiss_certificate(lower(a)) == want
+        assert spectra._bareiss_int64(a.astype(np.int64)) == want
+        return want
+
+    def test_planted_cases_and_the_handoff_past_two_to_the_31(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for n in (12, 16, 24, 40, 60):
+            for kind in ("shifted", "zero-diagonal", "direct-sum"):
+                for _ in range(3):
+                    a, truth = draw_planted_case(rng, n, kind)
+                    if not truth:
+                        self.check(a)
+                        checked += 1
+        assert checked > 30
+        # entries near 2**20 pass 2**31 after the first pivot: the int64 loop
+        # hands off to the list loop over Python ints, which lifts first
+        handoffs = []
+        real = spectra._bareiss_certificate
+        monkeypatch.setattr(spectra, "_bareiss_certificate", lambda low, prev=1: handoffs.append(prev) or real(low, prev))
+        b = np.random.default_rng(31).integers(-(2**8), 2**8, size=(30, 40))
+        b[:, 7] = b[:, 3]
+        a = b.T @ b - np.eye(40, dtype=np.int64)
+        want = self.check(a)
+        assert handoffs[-1] > 1 and int_form(a, want) < 0
+        assert real(lower(np.array(a.tolist(), dtype=object))) == want
+
+    def test_exact_schoenberg_reductions_of_theta_2_3_c(self, monkeypatch):
+        reductions = []
+        real = spectra._integer_psd_certificate
+        monkeypatch.setattr(spectra, "_integer_psd_certificate", lambda a: reductions.append(a.copy()) or real(a))
+        for c in range(9, 46, 2):
+            d = distance_matrix(make_theta(ThetaSpec(2, 3, c)))
+            assert not is_cnd(d, mode="exact").is_cnd
+        assert len(reductions) == 19
+        for r in reductions:
+            self.check(r)
+
+
+class TestDispatch:
+    """Which matrices skip the pattern scan or the block split."""
+
+    def test_schoenberg_reductions_of_cycles_and_thetas_skip_the_pattern(self, monkeypatch):
+        # each goes whole to the int64 loop, stubbed out here: only the
+        # dispatch is under test.  _block_anchors scans the 1-entries, a
+        # boolean mask, which the spy lets through
+        scanned, whole = [], []
+        real = spectra._pattern
+
+        def spy(m):
+            if m.dtype != bool:
+                scanned.append(len(m))
+            return real(m)
+
+        monkeypatch.setattr(spectra, "_pattern", spy)
+        monkeypatch.setattr(spectra, "_bareiss_int64", lambda a: whole.append(len(a)))
+        graphs = [make_cycle(m) for m in range(17, 50)]
+        graphs += [
+            make_theta(ThetaSpec(a, b, c))
+            for a in range(1, 17)
+            for b in range(max(a, 2), 50)
+            for c in range(b, 51 - a - b)
+            if a + b + c - 1 >= 17
+        ]
+        for g in graphs:
+            is_cnd(distance_matrix(g), mode="exact")
+        assert scanned == []
+        assert whole == [g.n - 1 for g in graphs]
+
+    def test_dense_reducible_matrices_keep_the_block_split(self):
+        # a zero-diagonal trap first, then a block that fails on a negative
+        # pivot: the first failing block is the trap, while eliminating the
+        # whole matrix at once finds the negative entry first
+        rng = np.random.default_rng(41)
+        differs = 0
+        for _ in range(20):
+            trap, _ = draw_planted_case(rng, int(rng.integers(6, 12)), "zero-diagonal")
+            shifted, _ = draw_planted_case(rng, int(rng.integers(10, 20)), "shifted")
+            n = len(trap) + len(shifted)
+            a = np.zeros((n, n), dtype=np.int64)
+            a[: len(trap), : len(trap)] = trap
+            a[len(trap) :, len(trap) :] = shifted
+            assert np.count_nonzero(a) > spectra._SPARSE_MAX_NNZ * n >= spectra._SPARSE_MAX_NNZ * spectra._NUMPY_MIN_DIM
+            want = per_block_loop(a)
+            assert spectra._integer_psd_certificate(a) == want
+            differs += spectra._bareiss_int64(a.copy()) != want
+        assert differs > 5
+
+    def test_tree_kernels_skip_the_block_split(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("block split called")
+
+        monkeypatch.setattr(spectra, "_irreducible_blocks", refuse)
+        rng = random.Random(29)
+        trees = [make_path(40), Graph(25, tuple((0, v) for v in range(1, 25)))]
+        trees += [Graph(n, tuple((rng.randrange(v), v) for v in range(1, n))) for n in range(2, 60, 3)]
+        for g in trees:
+            assert is_psd(winkler_kernel(g).two_k, mode="exact").is_psd
+            assert is_cnd(distance_matrix(g), mode="exact").is_cnd
+
+
 class TestCnd:
     def test_matches_reduced_eigenvalue_sign_on_corpus(self, corpus):
         # the oracle makes no eigensolver call: the maximizer is a feasible
