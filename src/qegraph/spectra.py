@@ -16,6 +16,7 @@ reduction of the distance matrix (see _is_cnd_exact).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -244,10 +245,10 @@ def _zero_pivot_certificate(low: list[list[int]]) -> list[int] | None:
 
 
 def _pattern(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-    """The nonzero pattern of a square array: its positions (us, js) in
-    row-major order, as np.nonzero gives them, and their row index as
-    lists: the nonzero columns of row u are cols[ends[u] : ends[u + 1]], in
-    increasing order."""
+    """The nonzero pattern of a square boolean array: its positions (us,
+    js) in row-major order, as np.nonzero gives them, and their row index
+    as lists: the nonzero columns of row u are cols[ends[u] : ends[u + 1]],
+    in increasing order."""
     us, js = np.nonzero(mask)
     return us, js, np.searchsorted(us, np.arange(len(mask) + 1)).tolist(), js.tolist()
 
@@ -283,6 +284,20 @@ def _lower(a: np.ndarray) -> list[list[int]]:
     return [row[: t + 1] for t, row in enumerate(a.tolist())]
 
 
+def _lift(v: list[int] | dict[int, int], p: int, xk: int) -> tuple[list[int] | dict[int, int], int]:
+    """One step of a certificate's lift back through a pivot p: (v, x_k)
+    made integral with gcd 1, for v (a list, or a dict by index) with gcd
+    1 and its new entry x_k = -(col_k . v), over p.  The gcd of p v and x_k
+    is gcd(p, x_k), and a step with x_k = 0 leaves v as it was."""
+    if xk:
+        g = math.gcd(p, xk)
+        if g != p:
+            s = p // g
+            v = {i: s * x for i, x in v.items()} if isinstance(v, dict) else [s * x for x in v]
+        xk //= g
+    return v, xk
+
+
 def _bareiss_certificate(low: list[list[int]], prev: int = 1) -> list[int] | None:
     """Fraction-free elimination of one symmetric block, given as its lower
     triangle low[i] = [a_i0, ..., a_ii], which it consumes; prev is the
@@ -307,15 +322,8 @@ def _bareiss_certificate(low: list[list[int]], prev: int = 1) -> list[int] | Non
     v = _zero_pivot_certificate(low)
     if v is None:
         return None
-    # the lift of _sparse_certificate: with gcd(v) = 1, the gcd of p v and
-    # x_k is gcd(p, x_k), and a step with x_k = 0 leaves v as it was
     for k, p, col in reversed(pivots):
-        xk = -sum([a * b for a, b in zip(col, v)])
-        if xk:
-            g = math.gcd(p, xk)
-            if g != p:
-                v = [p // g * x for x in v]
-            xk //= g
+        v, xk = _lift(v, p, -sum([a * b for a, b in zip(col, v)]))
         v.insert(k, xk)
     return v
 
@@ -365,12 +373,7 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
     # of the list loop's pivot column, in another order
     for k, p, col in reversed(pivots):
         col = col.tolist()
-        xk = -sum([col[i] * x for i, x in zip(support, v)])
-        if xk:
-            g = math.gcd(p, xk)
-            if g != p:
-                v = [p // g * x for x in v]
-            xk //= g
+        v, xk = _lift(v, p, -sum([col[i] * x for i, x in zip(support, v)]))
         v.append(xk)
         support.append(k)
     cert = [0] * len(a)
@@ -379,21 +382,27 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
     return cert
 
 
-def _block_rows(a: np.ndarray, block: list[int], us: np.ndarray, js: np.ndarray) -> list[dict]:
-    """The principal block of a on block, an irreducible block of its
-    nonzero positions (us, js) from _pattern, in the form that
-    _sparse_certificate reads: one dict {position: (entry, 0)} of its
-    nonzero entries per row, the diagonal included, each entry tagged as
-    written at step 0."""
-    n, m = len(a), len(block)
-    values = a[us, js]
-    if m < n:
+def _block_rows(a: np.ndarray, blocks: list[list[int]], us: np.ndarray, js: np.ndarray) -> list[dict]:
+    """The rows of a on blocks, irreducible blocks of its nonzero positions
+    (us, js) from _pattern, in the form that _sparse_certificate reads: for
+    each index u of a block, one dict {position: (entry, 0)} of the nonzero
+    entries of row u, the diagonal included, keyed by the position of their
+    column in u's block and tagged as written at step 0, so that a block's
+    rows, taken in its order, are its principal block.  One pass of numpy
+    over the positions serves every block, and the Python loop reads the
+    blocks' own entries only."""
+    n = len(a)
+    if len(blocks) > 1 or len(blocks[0]) < n:
         position = np.full(n, -1)
-        position[block] = np.arange(m)
-        us, js = position[us], position[js]
-        inside = us >= 0  # and so js >= 0: a block is closed under the pattern
-        us, js, values = us[inside], js[inside], values[inside]
-    rows = [{} for _ in range(m)]
+        for block in blocks:
+            position[block] = np.arange(len(block))
+        # a block is closed under the pattern, so position[js] >= 0 there too
+        inside = position[us] >= 0
+        us, js = us[inside], js[inside]
+        values, js = a[us, js], position[js]
+    else:
+        values = a[us, js]
+    rows = [{} for _ in range(n)]
     for u, j, x in zip(us.tolist(), js.tolist(), values.tolist()):
         rows[u][j] = (x, 0)
     return rows
@@ -401,9 +410,9 @@ def _block_rows(a: np.ndarray, block: list[int], us: np.ndarray, js: np.ndarray)
 
 def _sparse_certificate(rows: list[dict]) -> list[int] | None:
     """Fraction-free symmetric elimination of an irreducible integer block,
-    given by _block_rows, which it consumes, over dict rows: None iff the
-    block is PSD, else a certificate with gcd 1, as _bareiss_certificate
-    gives, though after other pivots.
+    given as its rows from _block_rows, which it consumes, over dict rows:
+    None iff the block is PSD, else a certificate with gcd 1, as
+    _bareiss_certificate gives, though after other pivots.
 
     Each step pivots on a live row of least degree (its off-diagonal
     nonzeros), the lowest index first, popped from a heap keyed by degree,
@@ -427,9 +436,7 @@ def _sparse_certificate(rows: list[dict]) -> list[int] | None:
     negative, certificate e_i, or zero beside a nonzero a_ij, certificate
     max(a_jj, 1) e_i - a_ij e_j, whose form is -a_jj a_ij**2 or
     (a_jj - 2) a_ij**2.  That vector is lifted back through the pivot
-    columns as _bareiss_int64 lifts it, in one gcd per step: with gcd(v)
-    = 1, the gcd of p v and x_k is gcd(p, x_k), and a step with x_k = 0
-    leaves v as it was."""
+    columns by _lift, as the dense loops lift theirs."""
     m = len(rows)  # rows[u] = {column: (value, step written)}, None once gone
     diag = [row.pop(u, (0, 0)) for u, row in enumerate(rows)]
     pivots = [1]
@@ -506,21 +513,19 @@ def _sparse_certificate(rows: list[dict]) -> list[int] | None:
     g = reduce(math.gcd, v.values())
     v = {i: x // g for i, x in v.items()}
     for k, p, col in reversed(steps):
-        xk = -sum([c * v[j] for j, c in col.items() if j in v])
+        v, xk = _lift(v, p, -sum([c * v[j] for j, c in col.items() if j in v]))
         if xk:
-            g = math.gcd(p, xk)
-            if g != p:
-                v = {i: p // g * x for i, x in v.items()}
-            v[k] = xk // g
+            v[k] = xk
     return [v.get(i, 0) for i in range(m)]
 
 
-def _one_block(a: np.ndarray) -> bool:
-    """Whether every index of a shares a nonzero column with the densest
-    row, so that the nonzero pattern joins each index to that row in at
-    most two steps and a is one irreducible block.  One float32 mat-vec of
-    the 0/1 pattern counts the shared columns, exactly below 2**24 rows."""
-    pattern = (a != 0).astype(np.float32)
+def _one_block(mask: np.ndarray) -> bool:
+    """Whether every index of the nonzero pattern mask shares a nonzero
+    column with the densest row, so that the pattern joins each index to
+    that row in at most two steps and is one irreducible block.  One
+    float32 mat-vec of the 0/1 pattern counts the shared columns, exactly
+    below 2**24 rows."""
+    pattern = mask.astype(np.float32)
     return bool((pattern @ pattern[pattern.sum(axis=1).argmax()]).all())
 
 
@@ -528,7 +533,13 @@ def _failing_pairs(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Which of the blocks [[x, y], [y, z]], given by the arrays of their
     entries, are not PSD: those with a negative diagonal entry or a
     negative determinant.  A 1 x 1 block [x], given as x = y = z, fails iff
-    x < 0."""
+    x < 0.  The entries of int64 arrays are compared over Python ints once
+    one reaches 2**31 in magnitude, where x * z or y * y could leave int64,
+    as in an anchored reduction of an int64 distance matrix."""
+    if x.dtype == np.int64:
+        xyz = np.concatenate((x, y, z))
+        if not (-_INT64_SAFE < xyz.min() and xyz.max() < _INT64_SAFE):
+            x, y, z = x.astype(object), y.astype(object), z.astype(object)
     return (np.minimum(x, z) < 0) | (x * z < y * y)
 
 
@@ -589,9 +600,10 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
         v = [0] * n
         v[negative[0]] = 1
         return v
-    if a.dtype == np.int64 and n >= _NUMPY_MIN_DIM and nonzeros > _SPARSE_MAX_NNZ * n and _one_block(a):
+    mask = a != 0
+    if a.dtype == np.int64 and n >= _NUMPY_MIN_DIM and nonzeros > _SPARSE_MAX_NNZ * n and _one_block(mask):
         return _bareiss_int64(a.copy())
-    us, js, ends, cols = _pattern(a)
+    us, js, ends, cols = _pattern(mask)
     blocks = _irreducible_blocks(ends, cols)
     pairs = [block for block in blocks if len(block) < 3]
     first = None
@@ -601,12 +613,18 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
         failing = _failing_pairs(diagonal[i], a[i, j], diagonal[j])
         if failing.any():
             first = pairs[failing.argmax()]
-    for block in blocks:
+    sparse = [
+        len(block) >= _SPARSE_MIN_DIM and sum([ends[u + 1] - ends[u] for u in block]) <= _SPARSE_MAX_NNZ * len(block)
+        for block in blocks
+    ]
+    if any(sparse):
+        rows = _block_rows(a, list(itertools.compress(blocks, sparse)), us, js)
+    for block, is_sparse in zip(blocks, sparse):
         size = len(block)
         if size < 3 and block is not first:
             continue
-        if size >= _SPARSE_MIN_DIM and sum([ends[u + 1] - ends[u] for u in block]) <= _SPARSE_MAX_NNZ * size:
-            cert = _sparse_certificate(_block_rows(a, block, us, js))
+        if is_sparse:
+            cert = _sparse_certificate([rows[u] for u in block])
         elif size >= _NUMPY_MIN_DIM and a.dtype == np.int64:
             cert = _bareiss_int64(_principal(a, block))
         else:

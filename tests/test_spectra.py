@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -948,10 +949,11 @@ class TestSmallBlocks:
         if want is not None:
             assert int_form(a, verdict.certificate) == verdict.certificate_value < 0
 
-    @pytest.mark.parametrize("scale", [1, 10**12])
-    def test_pair_rule_matches_the_list_loop_on_every_small_triple(self, scale):
+    @pytest.mark.parametrize("scale, dtype", [(1, np.int64), (2**29, np.int64), (10**12, object)])
+    def test_pair_rule_matches_the_list_loop_on_every_small_triple(self, scale, dtype):
+        # at 2**29 the int64 entries pass 2**31 and their products int64,
+        # so the rule compares them over Python ints
         triples = [(x * scale, y * scale, z * scale) for x, y, z in itertools.product(range(-4, 7), repeat=3)]
-        dtype = np.int64 if scale == 1 else object
         x, y, z = (np.array(column, dtype=dtype) for column in zip(*triples))
         failing = spectra._failing_pairs(x, y, z).tolist()
         for (xi, yi, zi), fails in zip(triples, failing):
@@ -959,6 +961,26 @@ class TestSmallBlocks:
             assert fails == (want is not None), (xi, yi, zi)
             a = np.array([[xi, yi], [yi, zi]], dtype=dtype)
             assert spectra._integer_psd_certificate(a) == want, (xi, yi, zi)
+
+    def test_pair_entries_past_two_to_the_31_do_not_wrap(self, monkeypatch):
+        # an int64 distance matrix below 2**31 whose anchored reduction has
+        # blocks [[2m, 2**31], [2**31, 2m]] and [[0, -2], [-2, 0]]: (2m)**2
+        # leaves int64, and a wrapped product would flag the PSD first block
+        # and report no failing block at all
+        m = 2**31 - 1
+        d = np.zeros((5, 5), dtype=np.int64)
+        entries = {(0, 1): m, (0, 2): m, (1, 3): m, (1, 4): m, (2, 3): m, (2, 4): m, (1, 2): m - 1, (3, 4): 2}
+        for (u, v), x in entries.items():
+            d[u, v] = d[v, u] = x
+        reductions = []
+        real = spectra._integer_psd_certificate
+        monkeypatch.setattr(spectra, "_integer_psd_certificate", lambda a: reductions.append(a.copy()) or real(a))
+        assert not is_cnd(d, mode="exact").is_cnd
+        (r,) = reductions
+        assert r.dtype == np.int64 and r.max() >= 2**31
+        want = per_block_loop(r)
+        assert want is not None and real(r) == want
+        assert real(np.array(r.tolist(), dtype=object)) == want
 
     def test_two_row_kernel_blocks_skip_the_list_loop(self, monkeypatch):
         # the 2K of an even cycle, or of theta(1, b, c) with c odd and b odd
@@ -1066,13 +1088,13 @@ class TestDispatch:
 
     def test_schoenberg_reductions_of_cycles_and_thetas_skip_the_pattern(self, monkeypatch):
         # each goes whole to the int64 loop, stubbed out here: only the
-        # dispatch is under test.  _block_anchors scans the 1-entries, a
-        # boolean mask, which the spy lets through
+        # dispatch is under test.  The spy counts the scans made by the
+        # dispatch itself, not the scan _block_anchors makes of the 1-entries
         scanned, whole = [], []
         real = spectra._pattern
 
         def spy(m):
-            if m.dtype != bool:
+            if sys._getframe(1).f_code is spectra._integer_psd_certificate.__code__:
                 scanned.append(len(m))
             return real(m)
 
