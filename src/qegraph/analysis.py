@@ -103,7 +103,7 @@ def _route_verdict(method: str, is_qe: bool, verdict, evidence: dict, value) -> 
 
 def classify_theta_closed_form(spec: ThetaSpec) -> QeVerdict:
     """Decide embeddability of a theta graph from its leg lengths alone."""
-    a, b, c = spec.normalized().legs
+    a, b, c = sorted(spec.legs)  # spec's legs are checked; normalizing only sorts them
     if a == 1:
         is_qe, rule = True, "alpha = 1"
     elif a == 2 and b == 3 and c in (3, 5, 7):
@@ -217,15 +217,16 @@ def qec(g: Graph, tol: Tolerances = DEFAULT_TOLERANCES) -> QecValue:
     verdict = _schoenberg(g, "auto", tol)
     value = verdict.max_eig
     vec = np.array(verdict.maximizer)
-    norm = float(np.linalg.norm(vec))
-    total = float(np.sum(vec))
+    # each message is formatted only when its check fails; a NaN fails
+    norm = math.sqrt(float(vec @ vec))
+    if not abs(norm - 1.0) <= 1e-10:
+        raise CheckError(f"internal error: maximizer norm {norm} is not 1")
+    total = math.fsum(verdict.maximizer)
+    if not abs(total) <= 1e-10:
+        raise CheckError(f"internal error: maximizer coordinate sum {total} is not 0")
     attained = float(vec @ d @ vec)
-    _require(abs(norm - 1.0) <= 1e-10, f"internal error: maximizer norm {norm} is not 1")
-    _require(abs(total) <= 1e-10, f"internal error: maximizer coordinate sum {total} is not 0")
-    _require(
-        abs(attained - value) <= 1e-8,
-        f"internal error: maximizer attains {attained}, eigenvalue is {value}",
-    )
+    if not abs(attained - value) <= 1e-8:
+        raise CheckError(f"internal error: maximizer attains {attained}, eigenvalue is {value}")
     return QecValue(value=value, maximizer=verdict.maximizer, is_qe=verdict.is_cnd)
 
 

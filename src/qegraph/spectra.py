@@ -18,9 +18,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -51,11 +51,15 @@ _AUTO_ESCALATION = 10.0
 _INT64_SAFE = 2**31
 
 # Exact elimination runs blocks of at least this many rows as int64 arrays.
-# On the int64 blocks of the benchmark workloads (2-CPU Xeon, one BLAS
-# thread) the list loop against the int64 loop took 4.3 against 11.8 us at
-# 2 rows, 67 against 65 us at 10 and 152 against 112 us at 15: the two
-# cross at about 10 rows, below this cut.
-_NUMPY_MIN_DIM = 16
+# On the dense escalation matrices of theta-sweep (2-CPU Xeon, one BLAS
+# thread; best of 9, mean per matrix) the list loop against the int64 loop
+# took 29.5 against 35.4 us at 8 rows, 31.8 against 31.9 at 9, 44.4 against
+# 41.7 at 10 and 45.9 against 36.1 at 11.  The whole of
+# _integer_psd_certificate, with a cut of 16 against this one, took 56.7
+# against 50.2 us at 10 rows, 58.2 against 45.7 at 11, 75.9 against 58.1
+# at 12, 76.7 against 52.9-62.8 at 13, 104.1 against 71.2 at 14 and 97.7
+# against 58.2 at 15, with the same certificates.
+_NUMPY_MIN_DIM = 10
 
 # Irreducible blocks of at least _SPARSE_MIN_DIM rows with at most
 # _SPARSE_MAX_NNZ nonzero entries per row on average, the diagonal
@@ -100,13 +104,15 @@ def _as_float_sym(m) -> np.ndarray:
     # only a warning, so a complex array never reaches the cast
     if a.dtype.kind == "c":
         raise SpectraError("matrix entries must be real")
+    # every bool or integer entry converts to a finite float
+    integral = a.dtype.kind in "biu"
     try:
         a = a.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise _not_real(a.flat) from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise SpectraError(f"matrix must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if not integral and not np.isfinite(a).all():
         raise SpectraError("matrix entries must be finite")
     if not (a == a.T).all():
         raise SpectraError("matrix must be exactly symmetric")
@@ -637,11 +643,22 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     return None
 
 
-def _is_psd_exact(m) -> PsdVerdict:
-    a, scale = _as_integer_sym(m)
+def _escalated(m) -> tuple[np.ndarray, int]:
+    """_as_integer_sym(m) for an input m that has passed _as_float_sym, as
+    auto mode re-decides it: an int64 array below 2**31 in magnitude is its
+    own integer matrix at scale 1.  Its entries convert to float64 exactly,
+    so the float pass's symmetry check was the integer one."""
+    if isinstance(m, np.ndarray) and m.dtype == np.int64 and -_INT64_SAFE < m.min() and m.max() < _INT64_SAFE:
+        return m, 1
+    return _as_integer_sym(m)
+
+
+def _is_psd_exact(a: np.ndarray, scale: int, **evidence) -> PsdVerdict:
+    """The exact verdict on the integer matrix a, scale times the caller's,
+    with the float evidence of an auto escalation, if any."""
     cert = _integer_psd_certificate(a)
     if cert is None:
-        return PsdVerdict(is_psd=True, mode_used="exact")
+        return PsdVerdict(is_psd=True, mode_used="exact", **evidence)
     value = _quad_form(a, cert)
     if value >= 0:
         raise SpectraError("internal error: exact certificate failed re-validation")
@@ -650,6 +667,7 @@ def _is_psd_exact(m) -> PsdVerdict:
         mode_used="exact",
         certificate=tuple(cert),
         certificate_value=Fraction(value, scale),
+        **evidence,
     )
 
 
@@ -681,7 +699,7 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     """
     validate_mode(mode)
     if mode == "exact":
-        return _is_psd_exact(m)
+        return _is_psd_exact(*_as_integer_sym(m))
     a = _as_float_sym(m)
     if a.shape[0] == 0:
         return PsdVerdict(is_psd=True, mode_used="float")
@@ -689,7 +707,7 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     lam = res.eigenvalues
     evidence = {"lambda_min": float(lam[-1]), "lambda_max": float(lam[0])}
     if mode == "auto" and near_zero:
-        return replace(_is_psd_exact(m), **evidence)
+        return _is_psd_exact(*_escalated(m), **evidence)
     if psd:
         return PsdVerdict(is_psd=True, mode_used="float", **evidence)
     vec = res.eigenvectors[:, -1]
@@ -715,6 +733,17 @@ def _check_distance_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@lru_cache(maxsize=128)
+def _reflector(n: int) -> np.ndarray:
+    # w depends on n alone; the cached array is read-only, and callers get
+    # a copy
+    w = np.full(n, -1.0 / math.sqrt(n))
+    w[0] += 1.0
+    w *= math.sqrt(2.0 / float(w @ w))
+    w.setflags(write=False)
+    return w
+
+
 def reduce_ones_complement(d) -> tuple[np.ndarray, np.ndarray]:
     """Compression of a symmetric matrix to the orthogonal complement of the
     all-ones vector, in the basis of the last n - 1 columns of the
@@ -728,14 +757,12 @@ def reduce_ones_complement(d) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if n < 2:
         raise SpectraError("reduction needs at least 2 vertices")
-    w = np.full(n, -1.0 / math.sqrt(n))
-    w[0] += 1.0
-    w *= math.sqrt(2.0 / float(w @ w))
+    w = _reflector(n)
     y = a @ w
     k = y - (0.5 * float(w @ y)) * w
-    p = np.outer(w[1:], k[1:])
+    p = np.multiply.outer(w[1:], k[1:])
     r = a[1:, 1:] - (p + p.T)
-    return r, w
+    return r, w.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -809,9 +836,10 @@ def _block_anchors(a: np.ndarray, r: int) -> list[int] | None:
     return anchor if count == n else None
 
 
-def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
+def _is_cnd_exact(a: np.ndarray, scale: int, **evidence) -> CndVerdict:
     """Exact Schoenberg decision on the checked integer distance matrix a
-    (scale times the caller's): PSD of R = -U^T D U (_difference_form) over
+    (scale times the caller's), with the float evidence of an auto
+    escalation, if any: PSD of R = -U^T D U (_difference_form) over
     the integer basis u_i = e_i - e_a(i) (i != r) of the complement of the
     all-ones vector, lifted as f = U v = sum v_i (e_i - e_a(i)).
 
@@ -834,7 +862,7 @@ def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
     anchor = _block_anchors(a, r) or [r] * n
     v = _integer_psd_certificate(_difference_form(a, others, np.array(anchor).take(others)))
     if v is None:
-        return CndVerdict(is_cnd=True, mode_used="exact")
+        return CndVerdict(is_cnd=True, mode_used="exact", **evidence)
     f = [0] * n
     for i, x in zip(others.tolist(), v):
         f[i] += x
@@ -847,6 +875,7 @@ def _is_cnd_exact(a: np.ndarray, scale: int) -> CndVerdict:
         mode_used="exact",
         certificate=tuple(f),
         certificate_value=Fraction(value, scale),
+        **evidence,
     )
 
 
@@ -874,8 +903,7 @@ def is_cnd(d, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> CndVe
     f = x - float(w @ x) * w
     evidence = {"max_eig": -float(res.eigenvalues[-1]), "maximizer": tuple(f.tolist())}
     if mode == "auto" and near_zero:
-        exact = _is_cnd_exact(*_as_integer_sym(d))  # the same entries, checked above
-        return replace(exact, **evidence)
+        return _is_cnd_exact(*_escalated(d), **evidence)  # the same entries, checked above
     if psd:
         return CndVerdict(is_cnd=True, mode_used="float", **evidence)
     value = float(f @ a @ f)

@@ -13,8 +13,10 @@ per-check times, differ between two runs of the same code.
 
 The command list: ``classify`` in the three modes as text and as JSON,
 ``kernel`` in the three modes and ``qec`` as text and as JSON on every
-graph below, then ``sweep --max-vertices 14`` in the three modes and
-``verify`` as text and as JSON.  The graphs are builtin thetas, cycles
+graph below, then ``sweep --max-vertices 14`` in the three modes,
+``sweep --max-vertices 22 --format json`` in ``auto`` and ``exact`` (every
+theta graph of the benchmark's ``theta-sweep`` workload, with its ``qec``),
+and ``verify`` as text and as JSON.  The graphs are builtin thetas, cycles
 and a path, and one tree written to an edge-list file in a temporary
 directory (named relative to it, so the dump does not depend on where the
 directory is).  pytest does not collect this file.
@@ -65,6 +67,8 @@ def commands() -> list[list[str]]:
             out.append(["qec", graph, "--format", fmt])
     for mode in MODES:
         out.append(["sweep", "--max-vertices", "14", "--mode", mode])
+    for mode in ("auto", "exact"):
+        out.append(["sweep", "--max-vertices", "22", "--mode", mode, "--format", "json"])
     for fmt in ("text", "json"):
         out.append(["verify", "--format", fmt])
     return out

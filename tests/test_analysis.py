@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -202,6 +203,35 @@ class TestQec:
     def test_qec_needs_two_vertices(self):
         with pytest.raises(ValueError):
             qec(make_path(1))
+
+    @pytest.mark.parametrize(
+        "maximizer, message",
+        [
+            ((1.0, -1.0, 1.0, -1.0), "internal error: maximizer norm 2.0 is not 1"),
+            ((float("nan"),) * 4, "internal error: maximizer norm nan is not 1"),
+            (
+                tuple(x + 2.0**-20 for x in (0.5, -0.5, 0.5, -0.5)),
+                "internal error: maximizer coordinate sum 3.814697265625e-06 is not 0",
+            ),
+            ((0.5, 0.5, -0.5, -0.5), "internal error: maximizer attains -2.0, eigenvalue is {}"),
+        ],
+        ids=["scaled", "nan", "shifted-off-sum-zero", "attains-another-value"],
+    )
+    def test_corrupted_kept_maximizer_fails_the_recheck(self, maximizer, message):
+        # the 4-cycle's constant is 0, attained by the unit alternating vector
+        # (1, -1, 1, -1) / 2; every corruption here is dyadic, so its norm,
+        # sum and value are exact and the messages are pinned digit for digit
+        g = make_cycle(4)
+        key = ("auto", Tolerances())
+        kept = qec(g)
+        assert abs(kept.value) <= 1e-12
+        memo = vars(g)["_cnd"]
+        memo[key] = dataclasses.replace(memo[key], maximizer=(0.5, -0.5, 0.5, -0.5))
+        assert qec(g).maximizer == (0.5, -0.5, 0.5, -0.5)
+        memo[key] = dataclasses.replace(memo[key], maximizer=maximizer)
+        with pytest.raises(analysis.CheckError) as err:
+            qec(g)
+        assert str(err.value) == message.format(memo[key].max_eig)
 
     def test_theta1_bounds(self):
         assert qec_theta1_bounds(3, 4) == (0.0, 0.0)

@@ -1539,6 +1539,165 @@ class TestOnesComplement:
         assert abs(verdict.max_eig - qec_cycle(301)) <= 1e-9
 
 
+def uncached_reflector(n: int) -> np.ndarray:
+    w = np.full(n, -1.0 / math.sqrt(n))
+    w[0] += 1.0
+    w *= math.sqrt(2.0 / float(w @ w))
+    return w
+
+
+class TestReflectorCache:
+    """reduce_ones_complement takes w from a cache by n; the caller's w is a
+    fresh writable array, bitwise the uncached formula's."""
+
+    def test_cached_reflector_is_the_formula_bitwise(self):
+        for n in range(2, 65):
+            cached = spectra._reflector(n)
+            assert cached.tobytes() == uncached_reflector(n).tobytes(), n
+            assert not cached.flags.writeable
+
+    def test_returned_w_is_writable_and_does_not_touch_the_cache(self):
+        for n in (2, 5, 22):
+            d = distance_matrix(make_cycle(n)) if n > 2 else distance_matrix(make_path(2))
+            r, w = reduce_ones_complement(d)
+            assert w.flags.writeable and w.flags.owndata
+            assert w.tobytes() == uncached_reflector(n).tobytes()
+            w[:] = 7.0
+            again, w2 = reduce_ones_complement(d)
+            assert w2.tobytes() == uncached_reflector(n).tobytes()
+            assert spectra._reflector(n).tobytes() == uncached_reflector(n).tobytes()
+            assert again.tobytes() == r.tobytes()
+
+    def test_compression_is_the_uncached_outer_product_form_bitwise(self, compression_cases):
+        for d in compression_cases:
+            w = uncached_reflector(len(d))
+            y = d @ w
+            k = y - (0.5 * float(w @ y)) * w
+            p = np.outer(w[1:], k[1:])
+            r, _ = reduce_ones_complement(d)
+            assert r.tobytes() == (d[1:, 1:] - (p + p.T)).tobytes()
+
+
+def _plus_one_at(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    a = a.copy()
+    a[i, j] += 1
+    return a
+
+
+_BIG = 2**53
+_FINITE = "matrix entries must be finite"
+_REAL = "matrix entries must be real"
+_SYMMETRIC = "matrix must be exactly symmetric"
+_SQUARE = "matrix must be square"
+_SHAPE = "matrix must be square, got shape (2, 3)"
+_DIAGONAL = "distance matrix must have a zero diagonal"
+_NEGATIVE = "distance matrix entries must be non-negative"
+# the calls of each row below, in order: eigen_sym, reduce_ones_complement,
+# then is_psd and is_cnd in float, auto and exact mode
+_CALLS = ("eigen_sym", "reduce", "psd float", "cnd float", "psd auto", "cnd auto", "psd exact", "cnd exact")
+# name -> (matrix, outcome): one SpectraError message for every call, or
+# one message (None: no error) per call of _CALLS
+_INPUT_CASES = {
+    "nan": (np.array([[0.0, np.nan], [np.nan, 0.0]]), _FINITE),
+    "nan in a list": ([[0.0, float("nan")], [float("nan"), 0.0]], _FINITE),
+    "+inf": (np.array([[0.0, np.inf], [np.inf, 0.0]]), _FINITE),
+    "-inf": (np.array([[0.0, -np.inf], [-np.inf, 0.0]]), _FINITE),
+    "nan before asymmetry": (np.array([[0.0, np.nan], [1.0, 0.0]]), _FINITE),
+    "complex": (np.array([[0, 1j], [1j, 0]]), _REAL),
+    "complex in a list": ([[0, 1j], [1j, 0]], _REAL),
+    "asymmetric": (np.array([[0.0, 1.0], [2.0, 0.0]]), _SYMMETRIC),
+    "ragged": ([[0, 1], [1]], _SQUARE),
+    "not square": (np.zeros((2, 3)), (_SHAPE,) * 6 + (_SQUARE,) * 2),
+    "not square before nan": (np.full((2, 3), np.nan), (_SHAPE,) * 6 + (_SQUARE,) * 2),
+    "bool": (np.array([[False, True], [True, False]]), (None,) * 8),
+    "bool asymmetric": (np.array([[False, True], [False, False]]), _SYMMETRIC),
+    "bool diagonal": (np.eye(2, dtype=bool), (None, None) + (None, _DIAGONAL) * 3),
+    "uint64 past 2^63": (np.array([[0, 2**64 - 1], [2**64 - 1, 0]], dtype=np.uint64), (None,) * 8),
+    # equal in float64, so the float checks pass; auto keeps the float
+    # verdict here, and only the exact checks see the asymmetry
+    "uint64 asymmetric past 2^53": (
+        np.array([[0, 2**64 - 1], [2**64 - 2, 0]], dtype=np.uint64),
+        (None,) * 6 + (_SYMMETRIC,) * 2,
+    ),
+    "int64 asymmetric past 2^53": (
+        np.array([[0, _BIG + 1], [_BIG, 0]], dtype=np.int64),
+        (None,) * 6 + (_SYMMETRIC,) * 2,
+    ),
+    # in float64 the first is singular PSD and the second 2**53 times the
+    # 4-cycle's distances, whose constant is 0, so auto escalates and the
+    # exact checks see the asymmetry, before the diagonal
+    "int64 asymmetric past 2^53, escalating": (
+        np.array([[_BIG, _BIG + 1], [_BIG, _BIG]], dtype=np.int64),
+        (None, None, None, _DIAGONAL, _SYMMETRIC, _DIAGONAL, _SYMMETRIC, _SYMMETRIC),
+    ),
+    "int64 asymmetric 4-cycle past 2^53, escalating": (
+        _plus_one_at(_BIG * distance_matrix(make_cycle(4)), 0, 1),
+        (None,) * 5 + (_SYMMETRIC,) * 3,
+    ),
+    "int64 negative": (np.array([[0, -1], [-1, 0]], dtype=np.int64), (None, None) + (None, _NEGATIVE) * 3),
+    "int64 diagonal": (np.array([[1, 1], [1, 0]], dtype=np.int64), (None, None) + (None, _DIAGONAL) * 3),
+    "int64 1 x 1": (np.zeros((1, 1), dtype=np.int64), (None, "reduction needs at least 2 vertices") + (None,) * 6),
+    "object ints": (np.array([[0, 1], [1, 0]], dtype=object), (None,) * 8),
+    "object past int64": (np.array([[0, 2**70], [2**70, 0]], dtype=object), (None,) * 8),
+    "object Fractions": (np.array([[0, Fraction(1, 3)], [Fraction(1, 3), 0]], dtype=object), (None,) * 8),
+    "object nan": (np.array([[0, np.nan], [np.nan, 0]], dtype=object), _FINITE),
+    "object string": (np.array([[0, "a"], [1, 0]], dtype=object), _FINITE),
+}
+
+
+def _call(name: str, m):
+    if name == "eigen_sym":
+        return eigen_sym(m)
+    if name == "reduce":
+        return reduce_ones_complement(m)
+    kind, mode = name.split()
+    return (is_psd if kind == "psd" else is_cnd)(m, mode=mode)
+
+
+class TestInputChecks:
+    """The SpectraError message of every public entry point and mode on bad
+    input, and which check speaks first when several fail: bool and integer
+    arrays skip the float finiteness scan, which cannot fail on them, and
+    an auto escalation of an int64 array skips the second symmetry scan
+    only below 2**31, where float64 holds every entry exactly."""
+
+    @pytest.mark.parametrize("name", list(_INPUT_CASES))
+    def test_messages_and_their_order(self, name):
+        m, outcome = _INPUT_CASES[name]
+        want = (outcome,) * len(_CALLS) if isinstance(outcome, str) else outcome
+        got = []
+        for call in _CALLS:
+            try:
+                _call(call, m)
+            except SpectraError as err:
+                got.append(str(err))
+            else:
+                got.append(None)
+        assert dict(zip(_CALLS, got)) == dict(zip(_CALLS, want))
+
+    def test_escalation_of_small_int64_reuses_the_float_checks(self, monkeypatch):
+        # theta(1,7,12) escalates on both routes; below 2**31 the caller's
+        # int64 array goes to the exact routine without _as_integer_sym
+        g = make_theta(ThetaSpec(1, 7, 12))
+        d, two_k = distance_matrix(g), winkler_kernel(g).two_k
+        want = is_cnd(d, mode="auto"), is_psd(two_k, mode="auto")
+        assert want[0].mode_used == want[1].mode_used == "exact"
+
+        def refuse(m):
+            raise AssertionError("the escalation re-ingested its matrix")
+
+        monkeypatch.setattr(spectra, "_as_integer_sym", refuse)
+        got = is_cnd(d, mode="auto"), is_psd(two_k, mode="auto")
+        for a, b in zip(got, want):
+            assert vars(a).keys() == vars(b).keys()
+            for key, value in vars(b).items():
+                assert getattr(a, key) == value, key
+        with pytest.raises(AssertionError, match="re-ingested"):
+            is_psd(two_k.astype(np.int32), mode="auto")
+        with pytest.raises(AssertionError, match="re-ingested"):
+            is_cnd(d * 2**31, mode="auto")
+
+
 class TestMatrixText:
     def test_float_round_trip(self, nprng):
         m = random_symmetric(nprng, 5)
