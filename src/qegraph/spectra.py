@@ -9,8 +9,10 @@ diagonal matrix is decided from its diagonal, a large dense int64 matrix
 that is one block goes whole to the int64 loop, all blocks of 1 and 2 rows
 are decided in one pass, a large sparse block is eliminated over dict rows,
 any other large one as an int64 array, and the rest over Python ints.
-Exact conditional negative definiteness is decided on an anchored
-reduction of the distance matrix (see _is_cnd_exact).
+The dense loops pivot on the smallest positive diagonal entry, which keeps
+their entries small, and stop at the first negative one.  Exact
+conditional negative definiteness is decided on an anchored reduction of
+the distance matrix (see _is_cnd_exact).
 """
 
 from __future__ import annotations
@@ -51,14 +53,17 @@ _AUTO_ESCALATION = 10.0
 _INT64_SAFE = 2**31
 
 # Exact elimination runs blocks of at least this many rows as int64 arrays.
-# On the dense escalation matrices of theta-sweep (2-CPU Xeon, one BLAS
-# thread; best of 9, mean per matrix) the list loop against the int64 loop
-# took 29.5 against 35.4 us at 8 rows, 31.8 against 31.9 at 9, 44.4 against
-# 41.7 at 10 and 45.9 against 36.1 at 11.  The whole of
-# _integer_psd_certificate, with a cut of 16 against this one, took 56.7
-# against 50.2 us at 10 rows, 58.2 against 45.7 at 11, 75.9 against 58.1
-# at 12, 76.7 against 52.9-62.8 at 13, 104.1 against 71.2 at 14 and 97.7
-# against 58.2 at 15, with the same certificates.
+# With the smallest positive pivot first, on the dense escalation matrices
+# of theta-sweep, all singular PSD (2-CPU Xeon, one BLAS thread; best of 9,
+# mean per matrix), the list loop against the int64 loop took 34.2 against
+# 45.1 us at 8 rows, 36.2 against 45.4 at 9, 50.2 against 55.9 at 10, 51.0
+# against 50.9 at 11, 69.7 against 67.4 at 12, 69.1 against 59.4 at 13 and
+# 92.9 against 77.5 at 14.  On the dense 2K blocks of thetas with every
+# leg at least 3, which stop at a negative entry, the int64 loop wins from
+# 9 rows on: 25.0 against 21.2 us at 9, 34.1 against 25.4 at 11 and 49.8
+# against 32.9 at 14.  The crossover of the first kind lies at 11 rows,
+# where the two loops are level; a block of 10 rows of it costs a few us
+# more here, and the cut stays.
 _NUMPY_MIN_DIM = 10
 
 # Irreducible blocks of at least _SPARSE_MIN_DIM rows with at most
@@ -307,13 +312,24 @@ def _lift(v: list[int] | dict[int, int], p: int, xk: int) -> tuple[list[int] | d
 def _bareiss_certificate(low: list[list[int]], prev: int = 1) -> list[int] | None:
     """Fraction-free elimination of one symmetric block, given as its lower
     triangle low[i] = [a_i0, ..., a_ii], which it consumes; prev is the
-    pivot of the elimination steps already applied to it, if any."""
+    pivot of the elimination steps already applied to it, if any.
+
+    Each step pivots on the first smallest positive live diagonal entry,
+    and the elimination stops as soon as a live diagonal entry is negative
+    or none is positive.  Every entry is a minor of the block (E. H.
+    Bareiss, Math. Comp. 22 (1968) 565-578), and a PSD principal minor is
+    at most the product of its diagonal entries (Hadamard), so small pivots
+    first keep the entries small.  Any order of positive pivots keeps the
+    verdict (see _sparse_certificate)."""
     pivots = []  # (position, pivot, pivot column over the block left after it)
     while low:
-        k = max(range(len(low)), key=lambda i: low[i][-1])
-        p = low[k][-1]
-        if p <= 0:
+        diag = [row[-1] for row in low]
+        if min(diag) < 0:
             break
+        p = min(filter(None, diag), default=0)
+        if not p:
+            break
+        k = diag.index(p)
         col = low.pop(k)
         del col[k:]
         for row in low[k:]:
@@ -339,26 +355,45 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
     the same pivots and the same certificate.
 
     Nothing is deleted: each step updates the whole block, which turns the
-    pivot's row and column to zeros that stay zero, so the first largest
-    diagonal entry is the first largest live one.  Once no positive pivot
-    is left, the zero-pivot rules run on the live block in order.  Once an
-    entry reaches 2**31 in magnitude (where p * a - c * c could leave
-    int64), the live block goes on, in order, to the list loop instead.
-    That test reads a running bound, max|a| <= bound: a step with pivot p
-    after prev makes entries of magnitude at most (p * bound + bound**2) /
-    prev, so the block is rescanned only when the bound reaches 2**31, and
-    the handoff comes at the step where a scan before every step would
-    make it.  Either certificate is lifted back through the pivots here as
-    the list loop lifts through its own."""
+    pivot's row and column to zeros that stay zero, and a live row of
+    zeros stays zero too.  So the pivot is the first least entry of a key,
+    the diagonal plus 2**31 at every row set aside: each pivot once taken,
+    and, whenever the least key is 0, every live row with a zero diagonal
+    entry, in one pass, if all of them are rows of zeros.  A zero diagonal
+    entry beside a nonzero one sends the live block, in order, to the list
+    loop, which pivots alike.  The elimination ends at a negative least
+    key, with the certificate e_i of the first negative entry, as the
+    zero-pivot rules give it, or once every row is set aside, with none.
+    Once an entry reaches 2**31 in magnitude (where p * a - c * c could
+    leave int64), the live block goes on to the list loop as well.  That
+    test reads a running bound, max|a| <= bound: a step with pivot p after
+    prev makes entries of magnitude at most (p * bound + bound**2) / prev,
+    so the block is rescanned only when the bound reaches 2**31, and the
+    handoff comes at the step where a scan before every step would make
+    it.  Either certificate is lifted back through the pivots here, over
+    its support, as the list loop lifts through its own."""
     pivots = []  # (index, pivot, pivot row as an int64 copy)
     prev = 1
     bound = _INT64_SAFE  # scan before the first step
+    aside = np.zeros(len(a), dtype=np.int64)
+    handoff = False
     while True:
         if bound >= _INT64_SAFE:
             bound = max(int(a.max()), -int(a.min()))
-        k = int(a.diagonal().argmax())
-        p = int(a[k, k])
-        if bound >= _INT64_SAFE or p <= 0:
+            if bound >= _INT64_SAFE:
+                handoff = True
+                break
+        key = a.diagonal() + aside
+        k = int(key.argmin())
+        p = int(key[k])
+        if p == 0:
+            zero = key == 0
+            if a[zero].any():
+                handoff = True
+                break
+            aside[zero] = _INT64_SAFE
+            continue
+        if not 0 < p < _INT64_SAFE:
             break
         c = a[k]
         cc = np.multiply.outer(c, c)
@@ -367,23 +402,27 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
         a -= cc
         if prev != 1:
             a //= prev
+        aside[k] = _INT64_SAFE
         bound = (p * bound + bound * bound) // prev + 1
         prev = p
-    done = {k for k, _, _ in pivots}
-    support = [i for i in range(len(a)) if i not in done]
-    low = _lower(_principal(a, support))
-    v = _zero_pivot_certificate(low) if bound < _INT64_SAFE else _bareiss_certificate(low, prev)
-    if v is None:
+    if handoff:
+        done = {k for k, _, _ in pivots}
+        support = [i for i in range(len(a)) if i not in done]
+        v = _bareiss_certificate(_lower(_principal(a, support)), prev)
+        if v is None:
+            return None
+        v = {i: x for i, x in zip(support, v) if x}
+    elif p > 0:  # every row pivoted or set aside
         return None
-    # v lives on support, the indices still live after pivot k: the entries
-    # of the list loop's pivot column, in another order
+    else:
+        v = {int((key < 0).argmax()): 1}
     for k, p, col in reversed(pivots):
         col = col.tolist()
-        v, xk = _lift(v, p, -sum([col[i] * x for i, x in zip(support, v)]))
-        v.append(xk)
-        support.append(k)
+        v, xk = _lift(v, p, -sum([col[i] * x for i, x in v.items()]))
+        if xk:
+            v[k] = xk
     cert = [0] * len(a)
-    for i, x in zip(support, v):
+    for i, x in v.items():
         cert[i] = x
     return cert
 
@@ -565,10 +604,10 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     entry p and updates the live block by (p a_ij - a_ik a_kj) / prev,
     where prev is the previous pivot.  The division is exact by Sylvester's
     identity, and the live block stays prev times the Schur complement, so
-    it keeps the definiteness of the remainder.  When no positive pivot is
-    left, the zero-pivot rules give a certificate on the live block, lifted
-    back through the stored pivot columns: x_k = -(col_k . v) / p, scaled by
-    p to stay integral.
+    it keeps the definiteness of the remainder.  When a live diagonal entry
+    is negative, or no positive pivot is left, the zero-pivot rules give a
+    certificate on the live block, lifted back through the stored pivot
+    columns: x_k = -(col_k . v) / p, scaled by p to stay integral.
 
     The dispatch, in order:
     - a diagonal matrix, such as a tree's 2K and its Schoenberg reduction,
@@ -590,11 +629,12 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     - any other block of at least _NUMPY_MIN_DIM rows with int64 entries
       runs through _bareiss_int64;
     - the rest run over Python ints on their lower triangle.
-    _bareiss_int64 and the list loop both pivot on the first largest live
-    diagonal entry, so both give the same pivots and the same certificate,
-    and each shortcut gives the certificate the per-block loop would.  The
-    sparse path pivots in another order, so its certificate may differ
-    from theirs; every certificate is re-checked by the caller.
+    _bareiss_int64 and the list loop both pivot on the first smallest
+    positive live diagonal entry and stop at the first negative one (see
+    _bareiss_certificate), so both give the same pivots and the same
+    certificate, and each shortcut gives the certificate the per-block loop
+    would.  The sparse path pivots in another order, so its certificate
+    may differ from theirs; every certificate is re-checked by the caller.
     """
     n = len(a)
     diagonal = a.diagonal()

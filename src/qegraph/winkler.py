@@ -156,15 +156,15 @@ def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     canonical BFS tree), rows following the tree's edge order, formed as
     2K = -B^T D B by spectra._difference_form.
 
-    The default tree's kernel is computed once per graph and kept on it, as
-    ``distance_matrix`` keeps D, so the Winkler decision and the embedding
-    share one matrix; a kernel over an explicit tree is built anew on every
-    call."""
+    The default tree's kernel is computed once per graph and kept on it,
+    beside that tree's edges, as ``distance_matrix`` keeps D, so the Winkler
+    decision and the embedding share one matrix and one tree; a kernel over
+    an explicit tree is built anew on every call."""
     default = tree is None
     if default:
         kept = vars(g).get("_kernel")
         if kept is not None:
-            return kept
+            return kept[0]
         tree = default_orientation_and_tree(g)
     elif tree.graph is not g and tree.graph != g:
         raise TreeError("tree belongs to a different host graph")
@@ -173,7 +173,8 @@ def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     two_k.setflags(write=False)
     kern = KernelMatrix(two_k)
     if default:
-        vars(g)["_kernel"] = kern  # the matrix only: no reference back to g
+        # the matrix and the edge tuple only: no reference back to g
+        vars(g)["_kernel"] = (kern, tree.tree_edges)
     return kern
 
 
@@ -251,7 +252,7 @@ def reconstruct_embedding(g: Graph) -> Embedding:
     (_EMBED_TOL).
     """
     kern = winkler_kernel(g)
-    tree = default_orientation_and_tree(g)
+    tree_edges = vars(g)["_kernel"][1]  # the default tree, kept beside kern
     d = distance_matrix(g)
     if kern.dim == 0:
         vectors = np.zeros((g.n, 0))
@@ -271,7 +272,7 @@ def reconstruct_embedding(g: Graph) -> Embedding:
     vectors = np.zeros((g.n, edge_vecs.shape[1]))
     # the default tree's edges run parent to child in discovery order, so
     # each tail is 0 or the head of an earlier edge
-    for (a, b), vec in zip(tree.tree_edges, edge_vecs):
+    for (a, b), vec in zip(tree_edges, edge_vecs):
         vectors[b] = vectors[a] + vec
     gram = vectors @ vectors.T
     sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram

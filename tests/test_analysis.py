@@ -40,7 +40,7 @@ from qegraph import (
     witness_quadratic_form,
 )
 
-from qegraph import analysis, spectra
+from qegraph import analysis, spectra, winkler
 from qegraph.config import MODES
 
 from conftest import (
@@ -348,6 +348,19 @@ class TestSolveCount:
     def test_default_tree_kernel_is_kept(self):
         g = make_cycle(41)
         assert winkler_kernel(g) is winkler_kernel(g)
+
+    def test_the_embedding_reuses_the_kept_tree(self, monkeypatch):
+        # one breadth-first tree per graph, built with the kernel and kept
+        # beside it as its edge tuple
+        g = make_theta(ThetaSpec(1, 20, 25))
+        edges = default_orientation_and_tree(g).tree_edges
+        calls = []
+        real = winkler.default_orientation_and_tree
+        monkeypatch.setattr(winkler, "default_orientation_and_tree", lambda h: calls.append(h) or real(h))
+        classify_winkler(g, mode="auto")
+        reconstruct_embedding(g)
+        assert calls == [g]
+        assert vars(g)["_kernel"] == (winkler_kernel(g), edges)
 
     def test_explicit_tree_kernel_is_built_anew(self):
         g = make_cycle(41)

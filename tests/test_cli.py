@@ -324,19 +324,19 @@ class TestClassify:
     # its certificate lift shows as a diff here
     GOLDEN_EXACT = {
         "theta:2,3,9": (
-            ([-4, -5, 11, 10, -2, -4, -4, -4, 0, 14, -4, -4, -4], "10"),
+            ([4, 4, -8, 2, -8, 3, 2, 3, -10, 0, 4, 2, 2], "4"),
             ([-5, 8, 2, -16, 10, 6, -12, 10, -8, 14, -4, 0], "-5"),
         ),
         "theta:2,3,21": (
-            ([-4, -11, 29, 22, -2] + [-4] * 9 + [0, 38] + [-4] * 9, "154"),
+            ([4, 4, -8, 2, -8, 3, 2, 1, 0, 0, 0, 0, 0, 2, -10, 0, 4, 2, 2] + [0] * 6, "4"),
             ([-11, 20, 2, -40, 22, 6, -36, 10, -32, 14, -28, 18, -24, 22, -20, 26, -16, 30, -12, 34, -8, 38, -4, 0], "-77"),
         ),
         "theta:2,2,7": (
-            ([-8, -8, 19, 9, -8, -8, 10, 10, -8, -8], "180"),
+            ([-3, -4, 4, 3, 0, -2, 2, 0, 0, 0], "6"),
             ([0, -6, -1, 6, -3, 4, -5, 2, 0], "-15"),
         ),
         "theta:3,4,5": (
-            ([-16, -9, 5, 12, -2, 12, -2, 0, 7, 0, -7], "140"),
+            ([-11, -12, 4, 8, -2, 8, 0, 0, 5, 0, 0], "20"),
             ([0, -1, 0, 0, 0, -2, 2, 0, 0, 0], "-1"),
         ),
     }

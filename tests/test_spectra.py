@@ -512,15 +512,17 @@ class TestInt64Elimination:
     def test_overflow_hands_off_where_a_full_scan_would(self, monkeypatch):
         # the reference scans the whole live block, exactly over Python
         # ints, before every step; the int64 loop must hand the list loop
-        # the same live block after the same pivots
+        # the same live block after the same pivots, and hand off nothing
+        # when the reference stops before an entry reaches 2**31
         def full_scan_handoff(m):
             a = np.array(m.tolist(), dtype=object)
             prev, steps = 1, 0
             while max(abs(x) for x in a.flat) < 2**31:
-                k = int(np.argmax(a.diagonal()))
-                p = a[k, k]
-                if p <= 0:
+                diag = a.diagonal().tolist()
+                if min(diag) < 0 or max(diag) <= 0:
                     return None
+                p = min(x for x in diag if x > 0)
+                k = diag.index(p)
                 a = (p * a - np.multiply.outer(a[k], a[k])) // prev
                 prev, steps = p, steps + 1
             return steps, prev
@@ -540,13 +542,88 @@ class TestInt64Elimination:
             b[:, 5] = b[:, 2]
             for shift in (0, 1):
                 a = b.T @ b - shift * np.eye(36, dtype=np.int64)
-                steps, prev = full_scan_handoff(a)
-                seen_steps.add(steps)
+                want = full_scan_handoff(a)
                 handoffs.clear()
                 verdict = is_psd(a, mode="exact")
-                assert handoffs == [(36 - steps, prev)], (scale, shift)
+                if want is None:
+                    assert handoffs == [], (scale, shift)
+                else:
+                    steps, prev = want
+                    seen_steps.add(steps)
+                    assert handoffs == [(36 - steps, prev)], (scale, shift)
                 assert verdict.is_psd == (shift == 0)
         assert len(seen_steps) > 2  # hand-offs early and late in the elimination
+
+    def test_a_negative_diagonal_entry_stops_the_elimination(self, monkeypatch):
+        # a PD Gram block with one 2 x 2 principal minor made negative: a
+        # live diagonal entry turns negative while positive ones remain, and
+        # both loops stop there, with fewer pivots (one lift step each) than
+        # the rank
+        lifts = []
+        real = spectra._lift
+        monkeypatch.setattr(spectra, "_lift", lambda v, p, xk: lifts.append(p) or real(v, p, xk))
+        rng = np.random.default_rng(1968)
+        for n in (12, 20, 31, 45):
+            for _ in range(4):
+                b = rng.integers(-2, 3, size=(n + 2, n))
+                a = b.T @ b + np.eye(n, dtype=np.int64)
+                i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+                a[i, j] = a[j, i] = a[i, i] + a[j, j]
+                rank = np.linalg.matrix_rank(a)
+                lifts.clear()
+                cert = spectra._bareiss_int64(a.copy())
+                pivots = len(lifts)
+                lifts.clear()
+                assert spectra._bareiss_certificate(lower(a)) == cert == list_loop_rescaling_lift(lower(a))
+                assert len(lifts) == pivots < rank - 1
+                assert int_form(a, cert) < 0
+
+    def test_zero_rows_of_a_singular_psd_block_are_set_aside(self, monkeypatch):
+        # rows of zeros, interleaved with the rest, are the least diagonal
+        # entries but never a pivot: the int64 loop sets them aside, and
+        # hands a PSD block off only once an entry reaches 2**31; the
+        # certificate of a failing block is zero on them
+        handoffs = []
+        real = spectra._bareiss_certificate
+
+        def spy(low, prev=1):
+            handoffs.append(max(abs(x) for row in low for x in row))
+            return real(low, prev)
+
+        monkeypatch.setattr(spectra, "_bareiss_certificate", spy)
+        rng = np.random.default_rng(1878)
+        for n in (12, 24, 40):
+            for shift in (0, 1):
+                b = rng.integers(-1, 2, size=(n // 2, n))
+                zero = rng.choice(n, size=n // 4, replace=False)
+                b[:, zero] = 0
+                a = b.T @ b
+                live = np.setdiff1d(np.arange(n), zero)
+                a[live, live] -= shift
+                handoffs.clear()
+                cert = spectra._bareiss_int64(a.copy())
+                assert shift or all(top >= 2**31 for top in handoffs)
+                assert cert == real(lower(a)) == list_loop_rescaling_lift(lower(a))
+                assert (cert is None) == (shift == 0)
+                if shift:
+                    assert all(cert[z] == 0 for z in zero) and int_form(a, cert) < 0
+
+    # the largest entry of the exact Schoenberg certificate of theta(2, 3, c)
+    # under the pivot rule before this one, largest live diagonal entry first
+    LARGEST_FIRST_ENTRY = {
+        9: 14, 11: 9, 13: 22, 15: 13, 17: 30, 19: 17, 21: 38, 23: 21, 25: 46, 27: 25,
+        29: 54, 31: 29, 33: 62, 35: 33, 37: 70, 39: 37, 41: 78, 43: 41, 45: 86,
+    }
+
+    def test_theta_2_3_c_certificates_stay_as_small(self):
+        # bits, as the benchmark's certificate.bits_max counts them: at
+        # c = 11 the largest entry is 10 against 9
+        for c, before in self.LARGEST_FIRST_ENTRY.items():
+            d = floyd_warshall(make_theta(ThetaSpec(2, 3, c)))
+            verdict = is_cnd(d, mode="exact")
+            assert not verdict.is_cnd and sum(verdict.certificate) == 0
+            assert int_form(d, verdict.certificate) == verdict.certificate_value > 0
+            assert max(map(abs, verdict.certificate)).bit_length() <= before.bit_length()
 
     def test_entries_past_int64_stay_python_ints(self):
         # uint64 2**63 + 1 wraps negative in int64
@@ -1004,10 +1081,11 @@ def list_loop_rescaling_lift(low: list[list[int]], prev: int = 1) -> list[int] |
     pivot and divides it by the gcd of all its entries at every step."""
     pivots = []
     while low:
-        k = max(range(len(low)), key=lambda i: low[i][-1])
-        p = low[k][-1]
-        if p <= 0:
+        diag = [row[-1] for row in low]
+        if min(diag) < 0 or max(diag) <= 0:
             break
+        p = min(x for x in diag if x > 0)
+        k = diag.index(p)
         col = low.pop(k)
         del col[k:]
         for row in low[k:]:
