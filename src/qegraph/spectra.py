@@ -6,11 +6,14 @@ semidefiniteness without any tolerance, by fraction-free elimination of each
 irreducible block (see _integer_psd_certificate), with an explicit
 negativity certificate when the answer is no.  The dispatch, in order: a
 diagonal matrix is decided from its diagonal, a large dense int64 matrix
-that is one block goes whole to the int64 loop, all blocks of 1 and 2 rows
+that is one block goes whole to the dense loop, all blocks of 1 and 2 rows
 are decided in one pass, a large sparse block is eliminated over dict rows,
-any other large one as an int64 array, and the rest over Python ints.
-The dense loops pivot on the smallest positive diagonal entry, which keeps
-their entries small, and stop at the first negative one.  Exact
+any other large one by the dense loop, and the rest over Python ints.  The
+dense loop steps on a float64 array while every entry is below 2**26, where
+each step is exact and its rank-one update one BLAS product, then on an
+int64 one below 2**31, and hands the rest to the Python-int loop.  Both
+pivot on the smallest positive diagonal entry, which keeps their entries
+small, and stop at the first negative one.  Exact
 conditional negative definiteness is decided on an anchored reduction of
 the distance matrix (see _is_cnd_exact).
 """
@@ -52,19 +55,26 @@ _AUTO_ESCALATION = 10.0
 # step p * a_ij - a_ik * a_kj fits in int64.
 _INT64_SAFE = 2**31
 
-# Exact elimination runs blocks of at least this many rows as int64 arrays.
-# With the smallest positive pivot first, on the dense escalation matrices
-# of theta-sweep, all singular PSD (2-CPU Xeon, one BLAS thread; best of 9,
-# mean per matrix), the list loop against the int64 loop took 34.2 against
-# 45.1 us at 8 rows, 36.2 against 45.4 at 9, 50.2 against 55.9 at 10, 51.0
-# against 50.9 at 11, 69.7 against 67.4 at 12, 69.1 against 59.4 at 13 and
-# 92.9 against 77.5 at 14.  On the dense 2K blocks of thetas with every
-# leg at least 3, which stop at a negative entry, the int64 loop wins from
-# 9 rows on: 25.0 against 21.2 us at 9, 34.1 against 25.4 at 11 and 49.8
-# against 32.9 at 14.  The crossover of the first kind lies at 11 rows,
-# where the two loops are level; a block of 10 rows of it costs a few us
-# more here, and the cut stays.
-_NUMPY_MIN_DIM = 10
+# While every entry of a block is below this bound in magnitude, a Bareiss
+# step and its quotient by the previous pivot are integers below 2**53,
+# exact in float64.
+_FLOAT_SAFE = 2**26
+
+# Exact elimination runs blocks of at least this many rows through the
+# dense loop, _bareiss_dense.  Against the list loop, on the dense
+# escalation blocks of one theta-sweep round and the dense blocks of 3000
+# exact-certify items (seeds 1 and 2), best of 15 interleaved passes, mean
+# per block (2-CPU Xeon, one BLAS thread; list against dense): theta-sweep
+# 35.9 against 43.6 us at 9 rows, 51.6 against 53.7 at 10, 55.7 against
+# 52.4 at 11 and 70.6 against 65.7 at 12; exact-certify 37.2 against 43.2
+# at 9, 44.0 against 48.9 at 10, 50.5 against 55.7 at 11, 57.6 against
+# 58.6 at 12, 64.8 against 60.0 at 13 and 74.8 against 62.5 at 14.  The
+# dense 2K blocks of thetas with every leg at least 3, which stop at a
+# negative entry, favour the dense loop from 9 rows on: 24.2 against 20.1
+# us at 9, 34.6 against 25.4 at 11 and 65.0 against 43.2 at 14.  At 10
+# rows the list loop won every one of five runs on both workloads' blocks,
+# and the cut sits at 11, where theta-sweep's blocks cross over.
+_NUMPY_MIN_DIM = 11
 
 # Irreducible blocks of at least _SPARSE_MIN_DIM rows with at most
 # _SPARSE_MAX_NNZ nonzero entries per row on average, the diagonal
@@ -350,9 +360,24 @@ def _bareiss_certificate(low: list[list[int]], prev: int = 1) -> list[int] | Non
     return v
 
 
-def _bareiss_int64(a: np.ndarray) -> list[int] | None:
-    """_bareiss_certificate on the int64 block a, which it overwrites, with
-    the same pivots and the same certificate.
+def _magnitude(a: np.ndarray) -> int:
+    """max |a_ij| of a float64 array, or of an int64 one with no entry
+    -2**63 (the int64 matrices of the exact route lie below 2**33)."""
+    return int(np.abs(a).max())
+
+
+def _bareiss_dense(a: np.ndarray) -> list[int] | None:
+    """_bareiss_certificate on the int64 block a, with the same pivots and
+    the same certificate; a is not written.
+
+    The loop works on a copy of a: a float64 one while every entry is
+    below 2**26 in magnitude, then an int64 one while every entry is below
+    2**31.  Below 2**26, p * a_ij and a_ik * a_kj are integers below 2**52
+    and their difference one below 2**53, so every step is exact in
+    float64: the rank-one product c c^T is one BLAS call, and the division
+    by prev, exact by Sylvester's identity, a true division.  The first
+    scan that finds an entry of 2**26 or more converts the copy to int64,
+    where p * a - c * c stays below 2**63 in magnitude up to 2**31.
 
     Nothing is deleted: each step updates the whole block, which turns the
     pivot's row and column to zeros that stay zero, and a live row of
@@ -364,25 +389,22 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
     loop, which pivots alike.  The elimination ends at a negative least
     key, with the certificate e_i of the first negative entry, as the
     zero-pivot rules give it, or once every row is set aside, with none.
-    Once an entry reaches 2**31 in magnitude (where p * a - c * c could
-    leave int64), the live block goes on to the list loop as well.  That
-    test reads a running bound, max|a| <= bound: a step with pivot p after
-    prev makes entries of magnitude at most (p * bound + bound**2) / prev,
-    so the block is rescanned only when the bound reaches 2**31, and the
-    handoff comes at the step where a scan before every step would make
-    it.  Either certificate is lifted back through the pivots here, over
-    its support, as the list loop lifts through its own."""
-    pivots = []  # (index, pivot, pivot row as an int64 copy)
+    Once an entry reaches 2**31 in magnitude, the live block goes on to the
+    list loop as well.  Both limits are tested on a running bound, max|a|
+    <= bound: a step with pivot p after prev makes entries of magnitude at
+    most (p * bound + bound**2) / prev, so the block is rescanned only when
+    the bound reaches the limit, and the conversion and the handoff come at
+    the steps where a scan before every step would make them.  Either
+    certificate is lifted back through the pivots here, over its support,
+    as the list loop lifts through its own."""
+    pivots = []  # (index, pivot, pivot row as a copy)
     prev = 1
-    bound = _INT64_SAFE  # scan before the first step
-    aside = np.zeros(len(a), dtype=np.int64)
-    handoff = False
-    while True:
-        if bound >= _INT64_SAFE:
-            bound = max(int(a.max()), -int(a.min()))
-            if bound >= _INT64_SAFE:
-                handoff = True
-                break
+    bound = _magnitude(a)
+    limit = _FLOAT_SAFE if bound < _FLOAT_SAFE else _INT64_SAFE
+    a = a.astype(np.float64 if limit == _FLOAT_SAFE else np.int64)
+    aside = np.zeros(len(a))
+    handoff = bound >= _INT64_SAFE
+    while not handoff:
         key = a.diagonal() + aside
         k = int(key.argmin())
         p = int(key[k])
@@ -396,19 +418,32 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
         if not 0 < p < _INT64_SAFE:
             break
         c = a[k]
-        cc = np.multiply.outer(c, c)
         pivots.append((k, p, c.copy()))
-        a *= p
-        a -= cc
-        if prev != 1:
-            a //= prev
+        if limit == _FLOAT_SAFE:
+            cc = np.dot(c[:, None], c[None, :])
+            a *= p
+            a -= cc
+            if prev != 1:
+                a /= prev
+        else:
+            cc = np.multiply.outer(c, c)
+            a *= p
+            a -= cc
+            if prev != 1:
+                a //= prev
         aside[k] = _INT64_SAFE
         bound = (p * bound + bound * bound) // prev + 1
         prev = p
+        if bound >= limit:
+            bound = _magnitude(a)
+            if limit == _FLOAT_SAFE and bound >= limit:
+                a = a.astype(np.int64)
+                limit = _INT64_SAFE
+            handoff = bound >= _INT64_SAFE
     if handoff:
         done = {k for k, _, _ in pivots}
         support = [i for i in range(len(a)) if i not in done]
-        v = _bareiss_certificate(_lower(_principal(a, support)), prev)
+        v = _bareiss_certificate(_lower(_principal(a, support).astype(np.int64)), prev)
         if v is None:
             return None
         v = {i: x for i, x in zip(support, v) if x}
@@ -417,7 +452,7 @@ def _bareiss_int64(a: np.ndarray) -> list[int] | None:
     else:
         v = {int((key < 0).argmax()): 1}
     for k, p, col in reversed(pivots):
-        col = col.tolist()
+        col = col.astype(np.int64).tolist()
         v, xk = _lift(v, p, -sum([col[i] * x for i, x in v.items()]))
         if xk:
             v[k] = xk
@@ -616,7 +651,7 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     - an int64 matrix of at least _NUMPY_MIN_DIM rows with more than
       _SPARSE_MAX_NNZ nonzeros per row that _one_block finds irreducible,
       such as the exact Schoenberg reduction of a cycle or a theta, goes to
-      _bareiss_int64 whole, with no pattern scan;
+      the dense loop _bareiss_dense whole, with no pattern scan;
     - otherwise the pattern splits the blocks.  Every block of 1 or 2 rows
       is decided at once by _failing_pairs, and only the first failing one
       is eliminated, for its certificate; the 2K of an even cycle, or of
@@ -627,9 +662,10 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
       pivot's neighbours; the 2K of a cycle or a theta over its default
       tree is such a block;
     - any other block of at least _NUMPY_MIN_DIM rows with int64 entries
-      runs through _bareiss_int64;
+      runs through _bareiss_dense, over float64 below 2**26 and int64
+      below 2**31;
     - the rest run over Python ints on their lower triangle.
-    _bareiss_int64 and the list loop both pivot on the first smallest
+    _bareiss_dense and the list loop both pivot on the first smallest
     positive live diagonal entry and stop at the first negative one (see
     _bareiss_certificate), so both give the same pivots and the same
     certificate, and each shortcut gives the certificate the per-block loop
@@ -648,7 +684,7 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
         return v
     mask = a != 0
     if a.dtype == np.int64 and n >= _NUMPY_MIN_DIM and nonzeros > _SPARSE_MAX_NNZ * n and _one_block(mask):
-        return _bareiss_int64(a.copy())
+        return _bareiss_dense(a)
     us, js, ends, cols = _pattern(mask)
     blocks = _irreducible_blocks(ends, cols)
     pairs = [block for block in blocks if len(block) < 3]
@@ -672,7 +708,7 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
         if is_sparse:
             cert = _sparse_certificate([rows[u] for u in block])
         elif size >= _NUMPY_MIN_DIM and a.dtype == np.int64:
-            cert = _bareiss_int64(_principal(a, block))
+            cert = _bareiss_dense(_principal(a, block))
         else:
             cert = _bareiss_certificate(_lower(_principal(a, block)))
         if cert is not None:

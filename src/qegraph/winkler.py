@@ -113,8 +113,13 @@ def default_orientation_and_tree(g: Graph) -> OrientedTree:
     discovery order, each directed away from the root.
 
     The walk over the host adjacency builds a spanning tree by construction,
-    so the result skips ``OrientedTree``'s public check.  Raises GraphError
-    when g is disconnected."""
+    so the result skips ``OrientedTree``'s public check.  Its edge tuple is
+    kept on g, as ``distance_matrix`` keeps D, and later calls build their
+    tree from it with no second walk.  Raises GraphError when g is
+    disconnected."""
+    kept = vars(g).get("_tree")
+    if kept is not None:
+        return OrientedTree._trusted(g, kept)
     adj = g._adj
     seen = [False] * g.n
     seen[0] = True
@@ -130,7 +135,9 @@ def default_orientation_and_tree(g: Graph) -> OrientedTree:
     if len(tree) != g.n - 1:
         missing = seen.index(False)
         raise GraphError(f"graph is not connected: vertices 0 and {missing} have no joining path")
-    return OrientedTree._trusted(g, tuple(tree))
+    # the tuple of int pairs only, never the tree: no reference back to g
+    kept = vars(g)["_tree"] = tuple(tree)
+    return OrientedTree._trusted(g, kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,15 +163,15 @@ def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     canonical BFS tree), rows following the tree's edge order, formed as
     2K = -B^T D B by spectra._difference_form.
 
-    The default tree's kernel is computed once per graph and kept on it,
-    beside that tree's edges, as ``distance_matrix`` keeps D, so the Winkler
-    decision and the embedding share one matrix and one tree; a kernel over
-    an explicit tree is built anew on every call."""
+    The default tree's kernel is computed once per graph and kept on it, as
+    ``distance_matrix`` keeps D, so the Winkler decision and the embedding
+    share one matrix, over the tree ``default_orientation_and_tree`` keeps;
+    a kernel over an explicit tree is built anew on every call."""
     default = tree is None
     if default:
         kept = vars(g).get("_kernel")
         if kept is not None:
-            return kept[0]
+            return kept
         tree = default_orientation_and_tree(g)
     elif tree.graph is not g and tree.graph != g:
         raise TreeError("tree belongs to a different host graph")
@@ -173,8 +180,7 @@ def winkler_kernel(g: Graph, tree: OrientedTree | None = None) -> KernelMatrix:
     two_k.setflags(write=False)
     kern = KernelMatrix(two_k)
     if default:
-        # the matrix and the edge tuple only: no reference back to g
-        vars(g)["_kernel"] = (kern, tree.tree_edges)
+        vars(g)["_kernel"] = kern  # a matrix only: no reference back to g
     return kern
 
 
@@ -252,7 +258,7 @@ def reconstruct_embedding(g: Graph) -> Embedding:
     (_EMBED_TOL).
     """
     kern = winkler_kernel(g)
-    tree_edges = vars(g)["_kernel"][1]  # the default tree, kept beside kern
+    tree_edges = vars(g)["_tree"]  # the default tree's edges, kept with kern
     d = distance_matrix(g)
     if kern.dim == 0:
         vectors = np.zeros((g.n, 0))

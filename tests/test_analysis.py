@@ -350,17 +350,39 @@ class TestSolveCount:
         assert winkler_kernel(g) is winkler_kernel(g)
 
     def test_the_embedding_reuses_the_kept_tree(self, monkeypatch):
-        # one breadth-first tree per graph, built with the kernel and kept
-        # beside it as its edge tuple
+        # one breadth-first walk per graph: the first call keeps the edge
+        # tuple on the graph, and the Winkler decision, the embedding and
+        # later direct calls build their trees from it
         g = make_theta(ThetaSpec(1, 20, 25))
-        edges = default_orientation_and_tree(g).tree_edges
-        calls = []
-        real = winkler.default_orientation_and_tree
-        monkeypatch.setattr(winkler, "default_orientation_and_tree", lambda h: calls.append(h) or real(h))
+        walks = []
+        real = winkler.deque
+        monkeypatch.setattr(winkler, "deque", lambda *a: walks.append(a) or real(*a))
         classify_winkler(g, mode="auto")
         reconstruct_embedding(g)
-        assert calls == [g]
-        assert vars(g)["_kernel"] == (winkler_kernel(g), edges)
+        first, second = default_orientation_and_tree(g), default_orientation_and_tree(g)
+        assert len(walks) == 1
+        assert first.tree_edges is second.tree_edges is vars(g)["_tree"]
+        assert first.graph is second.graph is g
+        assert vars(g)["_kernel"] is winkler_kernel(g)
+        # the kept tree is the breadth-first tree of a fresh copy of g
+        assert first.tree_edges == default_orientation_and_tree(make_theta(ThetaSpec(1, 20, 25))).tree_edges
+        assert len(walks) == 2
+
+    def test_kept_tree_keeps_no_cycle_through_the_graph(self):
+        gc.disable()  # a cycle would keep the graph until the cyclic collector runs
+        try:
+            g = make_theta(ThetaSpec(2, 3, 5))
+            tree = default_orientation_and_tree(g)
+            classify_winkler(g)
+            reconstruct_embedding(g)
+            kept = vars(g)["_tree"]
+            assert kept is tree.tree_edges
+            assert all(type(x) is int for edge in kept for x in edge)
+            ref = weakref.ref(g)
+            del g, tree
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_explicit_tree_kernel_is_built_anew(self):
         g = make_cycle(41)

@@ -439,9 +439,60 @@ def outcome(verdict) -> tuple:
     return decision, verdict.certificate, verdict.certificate_value
 
 
+def full_scan_elimination(m) -> tuple[list[np.ndarray], list[int], int | None, tuple[int, int] | None]:
+    """The dense loop's elimination of the integer block m, exactly over
+    Python ints, with nothing deleted and the whole block scanned before
+    every step.  Returns the blocks it reaches (object arrays, the first
+    one m, the last one where it stops or hands off), the pivots, the
+    index of the first block with an entry of 2**26 or more (None if it
+    stops before one) and, when it stops at an entry of 2**31 or more, the
+    handoff (pivots taken, last pivot).  It pivots as the loops do, on the
+    first smallest positive diagonal entry, and stops at a negative one or
+    when none is positive; for blocks whose live diagonal stays nonzero."""
+    a = np.array(m.tolist(), dtype=object)
+    prev, states, pivots, crossed = 1, [], [], None
+    while True:
+        states.append(a)
+        top = max(abs(x) for x in a.flat)
+        if crossed is None and top >= 2**26:
+            crossed = len(pivots)
+        if top >= 2**31:
+            return states, pivots, crossed, (len(pivots), prev)
+        diag = a.diagonal().tolist()
+        if min(diag) < 0 or max(diag) <= 0:
+            return states, pivots, crossed, None
+        p = min(x for x in diag if x > 0)
+        k = diag.index(p)
+        a = (p * a - np.multiply.outer(a[k], a[k])) // prev
+        pivots.append(p)
+        prev = p
+
+
+def crossing_gram_blocks():
+    """Seeded PD Gram blocks and copies of them with one negative 2 x 2
+    principal minor, (block, PSD), all below 2**26 at the start; the
+    elimination of most of them reaches 2**26, and of some 2**31."""
+    rng = np.random.default_rng(2026)
+    for n, scale in ((12, 1), (13, 1), (11, 2), (14, 2), (16, 4), (20, 16), (24, 2**8), (32, 3)):
+        for _ in range(2):
+            b = rng.integers(-scale, scale + 1, size=(n + 3, n))
+            a = b.T @ b
+            i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+            bad = a.copy()
+            bad[i, j] = bad[j, i] = a[i, i] + a[j, j]
+            yield a, True
+            yield bad, False
+
+
+def as_python_ints(a: np.ndarray) -> np.ndarray:
+    """An integer-valued float64 or int64 block as an object array of ints."""
+    return np.array(a.astype(np.int64).tolist(), dtype=object)
+
+
 class TestInt64Elimination:
-    """Blocks of _NUMPY_MIN_DIM rows or more run as int64 arrays and hand
-    off to Python ints past 2**31; the result must be the list loop's."""
+    """Blocks of _NUMPY_MIN_DIM rows or more run through the dense loop, as
+    float64 arrays below 2**26 and int64 arrays below 2**31, and hand off
+    to Python ints past 2**31; the result must be the list loop's."""
 
     @given(
         st.integers(min_value=12, max_value=60),
@@ -511,7 +562,7 @@ class TestInt64Elimination:
 
     def test_overflow_hands_off_where_a_full_scan_would(self, monkeypatch):
         # the reference scans the whole live block, exactly over Python
-        # ints, before every step; the int64 loop must hand the list loop
+        # ints, before every step; the dense loop must hand the list loop
         # the same live block after the same pivots, and hand off nothing
         # when the reference stops before an entry reaches 2**31
         def full_scan_handoff(m):
@@ -571,7 +622,7 @@ class TestInt64Elimination:
                 a[i, j] = a[j, i] = a[i, i] + a[j, j]
                 rank = np.linalg.matrix_rank(a)
                 lifts.clear()
-                cert = spectra._bareiss_int64(a.copy())
+                cert = spectra._bareiss_dense(a.copy())
                 pivots = len(lifts)
                 lifts.clear()
                 assert spectra._bareiss_certificate(lower(a)) == cert == list_loop_rescaling_lift(lower(a))
@@ -580,7 +631,7 @@ class TestInt64Elimination:
 
     def test_zero_rows_of_a_singular_psd_block_are_set_aside(self, monkeypatch):
         # rows of zeros, interleaved with the rest, are the least diagonal
-        # entries but never a pivot: the int64 loop sets them aside, and
+        # entries but never a pivot: the dense loop sets them aside, and
         # hands a PSD block off only once an entry reaches 2**31; the
         # certificate of a failing block is zero on them
         handoffs = []
@@ -601,12 +652,104 @@ class TestInt64Elimination:
                 live = np.setdiff1d(np.arange(n), zero)
                 a[live, live] -= shift
                 handoffs.clear()
-                cert = spectra._bareiss_int64(a.copy())
+                cert = spectra._bareiss_dense(a.copy())
                 assert shift or all(top >= 2**31 for top in handoffs)
                 assert cert == real(lower(a)) == list_loop_rescaling_lift(lower(a))
                 assert (cert is None) == (shift == 0)
                 if shift:
                     assert all(cert[z] == 0 for z in zero) and int_form(a, cert) < 0
+
+    def test_crossing_two_to_the_26_keeps_the_full_scan_elimination(self, monkeypatch):
+        # blocks that start below 2**26 and reach it while the dense loop
+        # runs: pivots, handoff and certificate must be those of a full
+        # scan over Python ints, and the certificate the list loop's
+        handoffs, lifts = [], []
+        real_list, real_lift = spectra._bareiss_certificate, spectra._lift
+
+        def spy(low, prev=1):
+            handoffs.append((len(low), prev))
+            return real_list(low, prev)
+
+        monkeypatch.setattr(spectra, "_bareiss_certificate", spy)
+        monkeypatch.setattr(spectra, "_lift", lambda v, p, xk: lifts.append(p) or real_lift(v, p, xk))
+        kinds = set()
+        for a, psd in crossing_gram_blocks():
+            assert np.abs(a).max() < 2**26
+            _, pivots, crossed, handoff = full_scan_elimination(a)
+            if crossed is None:
+                continue
+            handoffs.clear()
+            lifts.clear()
+            cert = spectra._bareiss_dense(a)
+            dense_lifts = lifts[len(lifts) - len(pivots) :]
+            assert handoffs == ([] if handoff is None else [(len(a) - handoff[0], handoff[1])])
+            assert (cert is None) == psd
+            assert cert == real_list(lower(a)) == list_loop_rescaling_lift(lower(a))
+            if not psd:
+                assert dense_lifts == pivots[::-1]
+                assert int_form(a, cert) < 0
+            kinds.add((psd, handoff is not None))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_no_float_step_starts_at_two_to_the_26(self, monkeypatch):
+        # each scan of the running bound is matched to the full scan's
+        # block at the same step: a float64 block past the first block
+        # with an entry of 2**26 or more would come from a float step that
+        # started at one, and the scan of that first block must happen, in
+        # float64, so that the loop leaves float64 there
+        real = spectra._magnitude
+        states, crossed, scans = [], [None], []
+
+        def spy(a):
+            step = next(t for t, state in enumerate(states) if (state == as_python_ints(a)).all())
+            is_float = a.dtype == np.float64
+            assert not is_float or step <= crossed[0], (step, crossed[0])
+            scans.append((step, is_float))
+            return real(a)
+
+        monkeypatch.setattr(spectra, "_magnitude", spy)
+        checked = 0
+        for a, _ in crossing_gram_blocks():
+            states[:], _, crossed[0], _ = full_scan_elimination(a)
+            if crossed[0] is None:
+                continue
+            scans.clear()
+            spectra._bareiss_dense(a)
+            assert (crossed[0], True) in scans
+            assert all(step > crossed[0] for step, is_float in scans[1:] if not is_float)
+            checked += 1
+        assert checked >= 20
+
+    def test_entries_from_two_to_the_26_skip_the_float_stage(self, monkeypatch):
+        # a block that starts in [2**26, 2**31) is eliminated as int64 from
+        # the first step, with the full scan's handoff and the list loop's
+        # certificate
+        real_scan, real_list = spectra._magnitude, spectra._bareiss_certificate
+        dtypes, handoffs = [], []
+        monkeypatch.setattr(spectra, "_magnitude", lambda a: dtypes.append(a.dtype) or real_scan(a))
+
+        def spy(low, prev=1):
+            handoffs.append((len(low), prev))
+            return real_list(low, prev)
+
+        monkeypatch.setattr(spectra, "_bareiss_certificate", spy)
+        rng = np.random.default_rng(2**26)
+        for n in (12, 20, 30):
+            b = rng.integers(-(2**12), 2**12 + 1, size=(n + 3, n))
+            a = b.T @ b
+            i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+            bad = a.copy()
+            bad[i, j] = bad[j, i] = a[i, i] + a[j, j]
+            for m, psd in ((a, True), (bad, False)):
+                assert 2**26 <= np.abs(m).max() < 2**31
+                _, _, _, handoff = full_scan_elimination(m)
+                dtypes.clear()
+                handoffs.clear()
+                cert = spectra._bareiss_dense(m)
+                assert len(dtypes) >= 2 and set(dtypes) == {np.dtype(np.int64)}
+                assert handoffs == ([] if handoff is None else [(n - handoff[0], handoff[1])])
+                assert (cert is None) == psd
+                assert cert == real_list(lower(m)) == list_loop_rescaling_lift(lower(m))
 
     # the largest entry of the exact Schoenberg certificate of theta(2, 3, c)
     # under the pivot rule before this one, largest live diagonal entry first
@@ -698,7 +841,7 @@ class TestSingletonBlocks:
         def refuse(*args):
             raise AssertionError("elimination called")
 
-        for name in ("_bareiss_certificate", "_bareiss_int64", "_lower"):
+        for name in ("_bareiss_certificate", "_bareiss_dense", "_lower"):
             monkeypatch.setattr(spectra, name, refuse)
 
     def test_diagonal_with_one_negative_entry_gives_e_i(self, no_elimination):
@@ -1064,7 +1207,7 @@ class TestSmallBlocks:
         # or 2, is all blocks of 2 rows: decided with no elimination call
         # when PSD
         calls = []
-        for name in ("_bareiss_certificate", "_bareiss_int64", "_sparse_certificate", "_lower"):
+        for name in ("_bareiss_certificate", "_bareiss_dense", "_sparse_certificate", "_lower"):
             monkeypatch.setattr(spectra, name, lambda *args, name=name: calls.append(name))
         graphs = [make_cycle(m) for m in range(8, 50, 2)]
         graphs += [make_theta(ThetaSpec(1, b, c)) for b in range(2, 12) for c in range(b, 30) if c % 2 and (b % 2 or b == 2)]
@@ -1123,7 +1266,7 @@ class TestCertificateLift:
         want = list_loop_rescaling_lift(lower(a))
         assert want is not None and math.gcd(*want) == 1
         assert spectra._bareiss_certificate(lower(a)) == want
-        assert spectra._bareiss_int64(a.astype(np.int64)) == want
+        assert spectra._bareiss_dense(a.astype(np.int64)) == want
         return want
 
     def test_planted_cases_and_the_handoff_past_two_to_the_31(self, monkeypatch):
@@ -1137,7 +1280,7 @@ class TestCertificateLift:
                         self.check(a)
                         checked += 1
         assert checked > 30
-        # entries near 2**20 pass 2**31 after the first pivot: the int64 loop
+        # entries near 2**20 pass 2**31 after the first pivot: the dense loop
         # hands off to the list loop over Python ints, which lifts first
         handoffs = []
         real = spectra._bareiss_certificate
@@ -1165,7 +1308,7 @@ class TestDispatch:
     """Which matrices skip the pattern scan or the block split."""
 
     def test_schoenberg_reductions_of_cycles_and_thetas_skip_the_pattern(self, monkeypatch):
-        # each goes whole to the int64 loop, stubbed out here: only the
+        # each goes whole to the dense loop, stubbed out here: only the
         # dispatch is under test.  The spy counts the scans made by the
         # dispatch itself, not the scan _block_anchors makes of the 1-entries
         scanned, whole = [], []
@@ -1177,7 +1320,7 @@ class TestDispatch:
             return real(m)
 
         monkeypatch.setattr(spectra, "_pattern", spy)
-        monkeypatch.setattr(spectra, "_bareiss_int64", lambda a: whole.append(len(a)))
+        monkeypatch.setattr(spectra, "_bareiss_dense", lambda a: whole.append(len(a)))
         graphs = [make_cycle(m) for m in range(17, 50)]
         graphs += [
             make_theta(ThetaSpec(a, b, c))
@@ -1207,7 +1350,7 @@ class TestDispatch:
             assert np.count_nonzero(a) > spectra._SPARSE_MAX_NNZ * n >= spectra._SPARSE_MAX_NNZ * spectra._NUMPY_MIN_DIM
             want = per_block_loop(a)
             assert spectra._integer_psd_certificate(a) == want
-            differs += spectra._bareiss_int64(a.copy()) != want
+            differs += spectra._bareiss_dense(a.copy()) != want
         assert differs > 5
 
     def test_tree_kernels_skip_the_block_split(self, monkeypatch):

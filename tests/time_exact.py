@@ -1,9 +1,12 @@
-"""Best-of-3 wall time of ``classify --method all --mode exact`` on the
-graphs of about 300 vertices in ROADMAP's end-to-end table.
+"""Best-of-3 wall time of ``classify --method all --mode exact`` on graph
+URIs, by default the graphs of about 300 vertices in ROADMAP's end-to-end
+table.
 
-Run from any directory, with one or more checkouts of the repository:
+Run from any directory, with one or more checkouts of the repository and,
+after ``--graphs``, any graph URIs to time instead of the default five:
 
     python3 tests/time_exact.py PARENT CHANGE
+    python3 tests/time_exact.py PARENT CHANGE --graphs cycle:47 theta:1,20,27 theta:2,3,41
 
 Each run is a new process of ``sys.executable -c`` that puts the
 checkout's ``src`` first on ``sys.path`` and calls ``qegraph.cli.main``,
@@ -48,11 +51,12 @@ def wall_time(checkout: Path, uri: str) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", type=Path, nargs="+", help="checkouts of the repository")
+    parser.add_argument("--graphs", nargs="+", default=GRAPHS, metavar="URI", help="graph URIs to time")
     args = parser.parse_args(argv)
     checkouts = [c.resolve() for c in args.checkouts]
-    best = {uri: [float("inf")] * len(checkouts) for uri in GRAPHS}
+    best = {uri: [float("inf")] * len(checkouts) for uri in args.graphs}
     for _ in range(REPEAT):
-        for uri in GRAPHS:
+        for uri in args.graphs:
             for i, checkout in enumerate(checkouts):
                 best[uri][i] = min(best[uri][i], wall_time(checkout, uri))
     header = f"{'graph':<18}" + "".join(f"{c.name:>14}" for c in checkouts)
