@@ -1,17 +1,26 @@
 """Undirected graphs, builtin families, and shortest-path metrics.
 
-Distances come from one of three exact sources.  A graph built by
+Distances come from one of four exact sources.  A graph built by
 make_theta, make_cycle or make_path carries its family's metric in closed
-form, evaluated the first time its distances are asked for.  Any other
-graph takes one of two searches, cut at _SEIDEL_MIN_N vertices.  Smaller
-graphs take a breadth-first search from every source in Python.  Larger
-ones take Seidel's algorithm, which finds every distance of a connected
-unweighted graph with ceil(log2 diam) Boolean squarings of the adjacency
-matrix and as many integer products, all done by BLAS (R. Seidel, JCSS 51
-(1995) 400-403).  The products run in float32 up to _FLOAT32_MAX_N
-vertices and in float64 above: every partial sum they form is an integer
-of magnitude at most (n - 1)**2, so float32 is exact while that stays
-below 2**24, whatever order BLAS sums in.
+form, evaluated the first time its distances are asked for.  A graph of
+n - 1 edges is a tree if it is connected: its distances come from the
+root-path matrix M of its breadth-first tree from vertex 0 (_root_paths),
+whose row v marks the tree edges on the path from 0 to v, as
+d(u, v) = s_u + s_v - 2 (M M^T)_uv with s the row sums, the depths.  Any
+other graph takes one of two searches, cut at _SEIDEL_MIN_N vertices.
+Smaller graphs take a breadth-first search from every source in Python.
+Larger ones take Seidel's algorithm, which finds every distance of a
+connected unweighted graph with ceil(log2 diam) Boolean squarings of the
+adjacency matrix and as many integer products, all done by BLAS
+(R. Seidel, JCSS 51 (1995) 400-403).  The products run in float32 up to
+_FLOAT32_MAX_N vertices and in float64 above: every partial sum they form
+is an integer of magnitude at most (n - 1)**2, so float32 is exact while
+that stays below 2**24, whatever order BLAS sums in.
+
+The breadth-first tree from vertex 0 (_bfs_tree) is walked once per graph
+and kept on it; the tree's distances, the Winkler kernel's default tree
+(winkler.default_orientation_and_tree) and a tree's embedding
+(winkler.reconstruct_embedding) all read it.
 """
 
 from __future__ import annotations
@@ -180,10 +189,72 @@ def _bfs_distances(g: Graph) -> np.ndarray | None:
     return np.array([first] + [_bfs_row(adj, n, s) for s in range(1, n)], dtype=np.int64)
 
 
+def _disconnected(t: int) -> GraphError:
+    return GraphError(f"graph is not connected: vertices 0 and {t} have no joining path")
+
+
+def _bfs_tree(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The breadth-first tree of g from vertex 0: its edges (parent, child)
+    in discovery order, so each parent is 0 or the child of an earlier
+    edge.  Walked once per graph and kept on g, as a tuple of int pairs with
+    no reference back to g.  Raises GraphError naming vertex 0 and the
+    smallest vertex it cannot reach when g is disconnected."""
+    kept = vars(g).get("_tree")
+    if kept is not None:
+        return kept
+    adj = g._adj
+    seen = [False] * g.n
+    seen[0] = True
+    order = deque((0,))
+    tree = []
+    while order:
+        u = order.popleft()
+        for w in adj[u]:
+            if not seen[w]:
+                seen[w] = True
+                tree.append((u, w))
+                order.append(w)
+    if len(tree) != g.n - 1:
+        raise _disconnected(seen.index(False))
+    kept = vars(g)["_tree"] = tuple(tree)
+    return kept
+
+
+def _root_paths(g: Graph) -> np.ndarray:
+    """The root-path matrix M of _bfs_tree(g), a new n x (n - 1) uint8
+    array: M[v, i] = 1 iff tree edge i lies on the tree path from 0 to v.
+    Row v is a Python-int bitset, its parent's with v's own edge added, and
+    one np.unpackbits spreads all rows."""
+    n = g.n
+    bits = [0] * n
+    for i, (a, b) in enumerate(_bfs_tree(g)):
+        bits[b] = bits[a] | 1 << i
+    width = (n + 6) // 8  # bytes of n - 1 bits
+    raw = np.frombuffer(b"".join([x.to_bytes(width, "little") for x in bits]), np.uint8)
+    return np.unpackbits(raw.reshape(n, width), axis=1, count=n - 1, bitorder="little")
+
+
+def _tree_distances(g: Graph) -> np.ndarray:
+    """Distances of a tree g: d(u, v) = s_u + s_v - 2 (M M^T)_uv, with M
+    the root-path matrix and s its row sums, since (M M^T)_uv is the depth
+    of the two paths' last common vertex.  Every value formed is an integer
+    of magnitude at most 2(n - 1), so float32 is exact below 2**23
+    vertices, far more than an n x n matrix in memory allows."""
+    m = _root_paths(g).astype(np.float32)
+    depth = m.sum(axis=1)
+    t = m @ m.T
+    t *= -2
+    t += depth
+    t += depth[:, None]
+    return t.astype(np.int64)
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs shortest-path distances of a connected graph, by the
-    family's closed form, the BFS or Seidel's algorithm as the module
-    docstring says.
+    family's closed form, the root-path matrix of a tree, the BFS or
+    Seidel's algorithm as the module docstring says.  A graph of n - 1
+    edges that the breadth-first tree from 0 spans is a tree; one that it
+    does not span is disconnected.
 
     Returns an immutable C-ordered int64 matrix, computed once per graph and
     shared by later calls.  Raises GraphError naming vertex 0 and the
@@ -195,13 +266,14 @@ def distance_matrix(g: Graph) -> np.ndarray:
     metric = vars(g).get("_metric")  # set by the builtin builders
     if metric is not None:
         d = metric()
+    elif g.n_edges == g.n - 1:
+        d = _tree_distances(g)
     elif g.n >= _SEIDEL_MIN_N:
         d = _seidel(g)
     else:
         d = _bfs_distances(g)
     if d is None:
-        t = _bfs_row(g._adj, g.n, 0).index(-1)
-        raise GraphError(f"graph is not connected: vertices 0 and {t} have no joining path")
+        raise _disconnected(_bfs_row(g._adj, g.n, 0).index(-1))
     d.setflags(write=False)
     vars(g)["_dist"] = d
     return d

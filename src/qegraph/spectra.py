@@ -1,21 +1,23 @@
 """Symmetric eigensolving and (conditional) definiteness tests, float and exact.
 
-The float route uses LAPACK's symmetric eigensolver through numpy.  The exact
-route scales a rational matrix to integers and decides positive
-semidefiniteness without any tolerance, by fraction-free elimination of each
-irreducible block (see _integer_psd_certificate), with an explicit
-negativity certificate when the answer is no.  The dispatch, in order: a
-diagonal matrix is decided from its diagonal, a large dense int64 matrix
-that is one block goes whole to the dense loop, all blocks of 1 and 2 rows
-are decided in one pass, a large sparse block is eliminated over dict rows,
-any other large one by the dense loop, and the rest over Python ints.  The
-dense loop steps on a float64 array while every entry is below 2**26, where
-each step is exact and its rank-one update one BLAS product, then on an
-int64 one below 2**31, and hands the rest to the Python-int loop.  Both
-pivot on the smallest positive diagonal entry, which keeps their entries
-small, and stop at the first negative one.  Exact
-conditional negative definiteness is decided on an anchored reduction of
-the distance matrix (see _is_cnd_exact).
+The float route uses LAPACK's symmetric eigensolver through numpy, except
+on a diagonal matrix whose entries are clearly positive, which is decided
+from its diagonal (see is_psd).  The exact route scales a rational matrix
+to integers and decides positive semidefiniteness without any tolerance,
+by fraction-free elimination of each irreducible block (see
+_integer_psd_certificate), with an explicit negativity certificate when
+the answer is no.  The dispatch, in order: a diagonal matrix is decided
+from its diagonal, a large dense int64 matrix that is one block goes whole
+to the dense loop, all blocks of 1 and 2 rows are decided in one pass, a
+large sparse block is eliminated over dict rows, any other large one by
+the dense loop, and the rest over Python ints.  The dense loop steps on a
+float64 array while every entry is below 2**26, where each step is exact
+and its rank-one update one BLAS product, then on an int64 one below
+2**31, and hands the rest to the Python-int loop.  Both pivot on the
+smallest positive diagonal entry, which keeps their entries small, and
+stop at the first negative one.  Exact conditional negative definiteness
+is decided on an anchored reduction of the distance matrix (see
+_is_cnd_exact).
 """
 
 from __future__ import annotations
@@ -623,6 +625,15 @@ def _failing_pairs(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (np.minimum(x, z) < 0) | (x * z < y * y)
 
 
+def _count_nonzero(a: np.ndarray) -> tuple[int, bool]:
+    """The number of nonzero entries of the square array a, and whether
+    they all lie on its diagonal: the diagonal test of both the exact and
+    the float PSD decisions.  One pass over a, and a second over its
+    diagonal only when a has at most one nonzero entry per row."""
+    nonzeros = np.count_nonzero(a)
+    return nonzeros, nonzeros <= len(a) and nonzeros == np.count_nonzero(a.diagonal())
+
+
 def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     """None iff the integer symmetric matrix is PSD; otherwise an integer
     vector v with gcd 1 and <v, Av> < 0.
@@ -674,8 +685,8 @@ def _integer_psd_certificate(a: np.ndarray) -> list[int] | None:
     """
     n = len(a)
     diagonal = a.diagonal()
-    nonzeros = np.count_nonzero(a)
-    if nonzeros == np.count_nonzero(diagonal):
+    nonzeros, is_diagonal = _count_nonzero(a)
+    if is_diagonal:
         negative = np.flatnonzero(diagonal < 0)
         if not len(negative):
             return None
@@ -747,20 +758,34 @@ def _is_psd_exact(a: np.ndarray, scale: int, **evidence) -> PsdVerdict:
     )
 
 
-def _float_spectrum(a, tol: Tolerances) -> tuple[SpectrumResult, float, bool, bool]:
-    """The float PSD rule on the non-empty symmetric matrix a: its
-    eigendecomposition (solved through the module attribute eigen_sym), the
-    bound tol.psd_rel * max(1, lambda_max), the verdict lambda_min >= -bound,
-    and whether |lambda_min| < 10 * bound, the window in which auto mode
-    re-decides exactly.
+def _float_rule(lam_min: float, lam_max: float, tol: Tolerances) -> tuple[float, bool, bool]:
+    """The float PSD rule on the extreme eigenvalues of a matrix: the bound
+    tol.psd_rel * max(1, lambda_max), the verdict lambda_min >= -bound, and
+    whether |lambda_min| < 10 * bound, the window in which auto mode
+    re-decides exactly."""
+    bound = tol.psd_rel * max(1.0, lam_max)
+    return bound, lam_min >= -bound, abs(lam_min) < _AUTO_ESCALATION * bound
 
-    The one float rule of the package: is_psd applies it to its matrix,
-    is_cnd to the compressed -D, and winkler.reconstruct_embedding to 2K
-    only in its fallback, where a Cholesky factor of K fails."""
+
+def _float_spectrum(a, tol: Tolerances) -> tuple[SpectrumResult, float, bool, bool]:
+    """_float_rule on the eigenvalues of the non-empty symmetric matrix a,
+    after its eigendecomposition (solved through the module attribute
+    eigen_sym), which comes first in what it returns.
+
+    The one float eigensolve of the package: is_psd applies it to its
+    matrix, unless the matrix is diagonal and clears the auto window, is_cnd
+    to the compressed -D, and winkler.reconstruct_embedding to 2K only in
+    its fallback, where a Cholesky factor of K fails."""
     res = eigen_sym(a)
-    lam_min = float(res.eigenvalues[-1])
-    bound = tol.psd_rel * max(1.0, float(res.eigenvalues[0]))
-    return res, bound, lam_min >= -bound, abs(lam_min) < _AUTO_ESCALATION * bound
+    return res, *_float_rule(float(res.eigenvalues[-1]), float(res.eigenvalues[0]), tol)
+
+
+# LAPACK's dsyevd scales a matrix whose largest entry in magnitude lies
+# outside [2**-485, 2**485] before it solves, and its eigenvalues then
+# differ from a diagonal's own entries in the last bits (seen from 2**485
+# on and below 2**-485); inside this range they are the diagonal entries
+# bit for bit.
+_DIAGONAL_RANGE = (2.0**-484, 2.0**484)
 
 
 def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVerdict:
@@ -772,6 +797,12 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     must be integers, Fractions, or binary floats such as halves); "auto"
     runs the float test and re-decides exactly when |lambda_min| is below
     ten times the tolerance psd_rel * max(1, lambda_max).
+
+    A diagonal matrix, such as a tree's 2K = 2I, whose least entry clears
+    that window and whose largest lies in _DIAGONAL_RANGE, is decided in
+    float and auto mode from its diagonal, which is its spectrum: eigen_sym
+    would return those entries bit for bit.  A zero, near-zero or negative
+    entry still goes to eigen_sym, for the certificate or the escalation.
     """
     validate_mode(mode)
     if mode == "exact":
@@ -779,6 +810,12 @@ def is_psd(m, mode: str = "auto", tol: Tolerances = DEFAULT_TOLERANCES) -> PsdVe
     a = _as_float_sym(m)
     if a.shape[0] == 0:
         return PsdVerdict(is_psd=True, mode_used="float")
+    if _count_nonzero(a)[1]:
+        lam = a.diagonal()
+        lam_min, lam_max = float(lam.min()), float(lam.max())
+        _, psd, near_zero = _float_rule(lam_min, lam_max, tol)
+        if psd and not near_zero and _DIAGONAL_RANGE[0] <= lam_max <= _DIAGONAL_RANGE[1]:
+            return PsdVerdict(is_psd=True, mode_used="float", lambda_min=lam_min, lambda_max=lam_max)
     res, _, psd, near_zero = _float_spectrum(a, tol)
     lam = res.eigenvalues
     evidence = {"lambda_min": float(lam[-1]), "lambda_max": float(lam[0])}

@@ -19,7 +19,6 @@ factors the integer matrix 2K, and halves only what it reports.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import spectra
 from .config import DEFAULT_TOLERANCES, require_int
-from .graphs import Graph, GraphError, _bfs_row, _data_lines, _int_pairs, distance_matrix
+from .graphs import Graph, _bfs_row, _bfs_tree, _data_lines, _int_pairs, _root_paths, distance_matrix
 
 __all__ = [
     "TreeError",
@@ -112,32 +111,12 @@ def default_orientation_and_tree(g: Graph) -> OrientedTree:
     """Canonical tree: breadth-first tree rooted at vertex 0 with edges in
     discovery order, each directed away from the root.
 
-    The walk over the host adjacency builds a spanning tree by construction,
-    so the result skips ``OrientedTree``'s public check.  Its edge tuple is
-    kept on g, as ``distance_matrix`` keeps D, and later calls build their
-    tree from it with no second walk.  Raises GraphError when g is
-    disconnected."""
-    kept = vars(g).get("_tree")
-    if kept is not None:
-        return OrientedTree._trusted(g, kept)
-    adj = g._adj
-    seen = [False] * g.n
-    seen[0] = True
-    order = deque((0,))
-    tree = []
-    while order:
-        u = order.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                tree.append((u, w))
-                order.append(w)
-    if len(tree) != g.n - 1:
-        missing = seen.index(False)
-        raise GraphError(f"graph is not connected: vertices 0 and {missing} have no joining path")
-    # the tuple of int pairs only, never the tree: no reference back to g
-    kept = vars(g)["_tree"] = tuple(tree)
-    return OrientedTree._trusted(g, kept)
+    The walk (graphs._bfs_tree) builds a spanning tree by construction, so
+    the result skips ``OrientedTree``'s public check.  It runs once per
+    graph: its edge tuple is kept on g, as ``distance_matrix`` keeps D, and
+    a tree's distances come from the same walk.  Raises GraphError when g
+    is disconnected."""
+    return OrientedTree._trusted(g, _bfs_tree(g))
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,43 +222,49 @@ def reconstruct_embedding(g: Graph) -> Embedding:
 
     The kernel K over the canonical BFS tree (``winkler_kernel(g)``, the
     one the Winkler decision kept on g) is factored as K = L L^T, one row of
-    L per tree edge.  A positive definite K is factored by a float Cholesky
-    of 2K / 2 (exact in float64), with n - 1 columns.  Where Cholesky fails,
-    as on a singular or indefinite K, the factor comes from the
-    eigendecomposition of the integer 2K under the float PSD rule of
-    ``spectra`` at ``DEFAULT_TOLERANCES``, which decides on 2K as on K (see
-    ``analysis.classify_winkler``): eigenvalues of 2K within the bound of
-    zero are clamped, a genuinely negative one raises EmbeddingError, and
-    each kept eigenvalue is halved only to scale its eigenvector by
-    sqrt(lambda / 2).  Vertex 0 sits at
-    the origin, and each tree edge (a, b), parent to child in discovery
-    order, gives b the vector of a plus the edge's vector.  Either way the
+    L per tree edge, and vertex v sits at the sum of the rows of the tree
+    edges on the path from 0 to v: row v of M L, with M the tree's
+    root-path matrix (graphs._root_paths).  Vertex 0 sits at the origin.
+
+    - A diagonal K, a tree's K = I among them, needs no factorization: the
+      vectors are M sqrt(K_ee), with no loop.
+    - A positive definite K is factored by a float Cholesky of 2K / 2
+      (exact in float64), with n - 1 columns.
+    - Where Cholesky fails, as on a singular or indefinite K, the factor
+      comes from the eigendecomposition of the integer 2K under the float
+      PSD rule of ``spectra`` at ``DEFAULT_TOLERANCES``, which decides on
+      2K as on K (see ``analysis.classify_winkler``): eigenvalues of 2K
+      within the bound of zero are clamped, a genuinely negative one raises
+      EmbeddingError, and each kept eigenvalue is halved only to scale its
+      eigenvector by sqrt(lambda / 2).
+
+    The last two sum L's rows edge by edge, in O(n^2), where the product
+    M L would take O(n^3): each tree edge (a, b), parent to child in
+    discovery order, gives b the vector of a plus the edge's vector.  Every
     result is validated against the whole metric to within 1e-8
     (_EMBED_TOL).
     """
     kern = winkler_kernel(g)
-    tree_edges = vars(g)["_tree"]  # the default tree's edges, kept with kern
     d = distance_matrix(g)
-    if kern.dim == 0:
-        vectors = np.zeros((g.n, 0))
-        vectors.setflags(write=False)
-        return Embedding(vectors)
-    try:
-        edge_vecs = np.linalg.cholesky(kern.two_k / 2)
-    except np.linalg.LinAlgError:
-        res, bound, psd, _ = spectra._float_spectrum(kern.two_k, DEFAULT_TOLERANCES)
-        lam = res.eigenvalues  # twice the eigenvalues of K
-        if not psd:
-            raise EmbeddingError(
-                f"kernel is not positive semidefinite (lambda_min = {lam[-1] / 2:.3e})"
-            ) from None
-        keep = lam > bound  # clamp the near-zero band to exact zero
-        edge_vecs = res.eigenvectors[:, keep] * np.sqrt(lam[keep] / 2)
-    vectors = np.zeros((g.n, edge_vecs.shape[1]))
-    # the default tree's edges run parent to child in discovery order, so
-    # each tail is 0 or the head of an earlier edge
-    for (a, b), vec in zip(tree_edges, edge_vecs):
-        vectors[b] = vectors[a] + vec
+    two_k = kern.two_k
+    if spectra._count_nonzero(two_k)[1]:
+        vectors = _root_paths(g) * np.sqrt(two_k.diagonal() / 2)
+    else:
+        try:
+            edge_vecs = np.linalg.cholesky(two_k / 2)
+        except np.linalg.LinAlgError:
+            res, bound, psd, _ = spectra._float_spectrum(two_k, DEFAULT_TOLERANCES)
+            lam = res.eigenvalues  # twice the eigenvalues of K
+            if not psd:
+                raise EmbeddingError(
+                    f"kernel is not positive semidefinite (lambda_min = {lam[-1] / 2:.3e})"
+                ) from None
+            keep = lam > bound  # clamp the near-zero band to exact zero
+            edge_vecs = res.eigenvectors[:, keep] * np.sqrt(lam[keep] / 2)
+        vectors = np.zeros((g.n, edge_vecs.shape[1]))
+        # the kept tree's edges, whose rows kern follows
+        for (a, b), vec in zip(_bfs_tree(g), edge_vecs):
+            vectors[b] = vectors[a] + vec
     gram = vectors @ vectors.T
     sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram
     max_error = float(np.abs(sq - d).max())

@@ -40,7 +40,7 @@ from qegraph import (
     witness_quadratic_form,
 )
 
-from qegraph import analysis, spectra, winkler
+from qegraph import analysis, graphs, spectra
 from qegraph.config import MODES
 
 from conftest import (
@@ -332,9 +332,10 @@ class TestSchoenbergMemo:
 
 
 class TestSolveCount:
-    """One eigensolve per route and graph: the embedding factors the
-    Winkler decision's own kernel, kept on the graph, and a positive
-    definite kernel needs no eigendecomposition."""
+    """At most one eigensolve per route and graph: the embedding factors
+    the Winkler decision's own kernel, kept on the graph, a positive
+    definite kernel needs no eigendecomposition, and a diagonal one none
+    at all."""
 
     @pytest.mark.parametrize("kind, m", [("cycle", 41), ("tree", 40)])
     def test_both_routes_then_the_embedding_solve_twice(self, monkeypatch, kind, m):
@@ -343,7 +344,9 @@ class TestSolveCount:
         classify_schoenberg(g, mode="auto")
         classify_winkler(g, mode="auto")
         reconstruct_embedding(g)
-        assert calls == [m - 1, m - 1]
+        # a tree's 2K = 2I is decided from its diagonal, and its embedding
+        # is its root-path matrix: Schoenberg's is its one eigensolve
+        assert calls == ([m - 1] if kind == "tree" else [m - 1, m - 1])
 
     def test_default_tree_kernel_is_kept(self):
         g = make_cycle(41)
@@ -352,11 +355,12 @@ class TestSolveCount:
     def test_the_embedding_reuses_the_kept_tree(self, monkeypatch):
         # one breadth-first walk per graph: the first call keeps the edge
         # tuple on the graph, and the Winkler decision, the embedding and
-        # later direct calls build their trees from it
+        # later direct calls build their trees from it; on a theta, whose
+        # distances are in closed form, only the walk makes a graphs.deque
         g = make_theta(ThetaSpec(1, 20, 25))
         walks = []
-        real = winkler.deque
-        monkeypatch.setattr(winkler, "deque", lambda *a: walks.append(a) or real(*a))
+        real = graphs.deque
+        monkeypatch.setattr(graphs, "deque", lambda *a: walks.append(a) or real(*a))
         classify_winkler(g, mode="auto")
         reconstruct_embedding(g)
         first, second = default_orientation_and_tree(g), default_orientation_and_tree(g)

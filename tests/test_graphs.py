@@ -109,6 +109,11 @@ class TestGraph:
             (Graph(40, tuple((i, i + 1) for i in range(39) if i != 19)), 20),
             (Graph(40, tuple((i, i + 2) for i in range(38))), 1),  # even and odd vertices
             (Graph(CUT + 5, tuple((i, i + 1) for i in range(CUT + 3))), CUT + 4),  # one isolated
+            # n - 1 edges that close a cycle: not a tree, so not connected
+            (Graph(4, ((0, 1), (0, 2), (1, 2))), 3),
+            (Graph(4, ((1, 2), (1, 3), (2, 3))), 1),
+            (Graph(40, tuple((i, (i + 1) % 20) for i in range(20)) + tuple((i, i + 1) for i in range(20, 39))), 20),
+            (Graph(CUT - 1, ((0, 2), (0, 3), (2, 3)) + tuple((i, i + 1) for i in range(3, CUT - 2))), 1),
         )
         for g, t in cases:
             with pytest.raises(GraphError) as err:
@@ -135,7 +140,7 @@ class TestGraph:
             d[0, 1] = 7
         assert np.array_equal(d, floyd_warshall(g))
 
-    @pytest.mark.parametrize("name", ["theta:2,3,5", "theta:1,7,7", "cycle:15", "path:15"])
+    @pytest.mark.parametrize("name", ["theta:2,3,5", "theta:1,7,7", "cycle:15", "theta:2,7,7"])
     def test_bfs_below_the_cut_on_a_rebuilt_builtin_graph(self, name, searches):
         g = rebuilt(graph_from_uri(name))
         assert g.n < CUT
@@ -181,11 +186,44 @@ class TestGraph:
         assert d.dtype == np.int64 and d.flags.c_contiguous and not d.flags.writeable
         assert np.array_equal(d, floyd_warshall(g))
 
-    @pytest.mark.parametrize("name", ["path:60", "cycle:301", "theta:1,150,150"])
+    @pytest.mark.parametrize("name", ["theta:2,29,30", "cycle:301", "theta:1,150,150"])
     def test_seidel_at_scale_on_a_rebuilt_builtin_graph(self, name, searches):
         g = rebuilt(graph_from_uri(name))
         assert np.array_equal(distance_matrix(g), floyd_warshall(g))
         assert searches == ["_seidel"]
+
+    def test_trees_take_the_root_path_matrix(self, searches):
+        # random trees on shuffled labels, so that the breadth-first order
+        # is not the label order, on both sides of the Seidel cut, and
+        # rebuilt paths: no search runs
+        rng = random.Random(20261022)
+        sizes = [1, 2, 3, 8, CUT - 1, CUT, 40, 100, 300] + [rng.randint(1, 300) for _ in range(12)]
+        for n in sizes:
+            label = list(range(n))
+            rng.shuffle(label)
+            g = Graph(n, tuple((label[rng.randrange(v)], label[v]) for v in range(1, n)))
+            d = distance_matrix(g)
+            assert d.dtype == np.int64 and d.flags.c_contiguous and not d.flags.writeable
+            assert np.array_equal(d, floyd_warshall(g)), n
+        for name in ("path:15", "path:60"):
+            g = rebuilt(graph_from_uri(name))
+            assert np.array_equal(distance_matrix(g), floyd_warshall(g))
+        assert searches == []
+
+    def test_root_paths_mark_each_vertex_path(self):
+        # row v of M holds the tree edges from 0 to v: walking up the kept
+        # tree from v meets exactly those edges
+        g = random_sparse_graph(random.Random(29), 70)
+        m = graphs._root_paths(g)
+        tree = graphs._bfs_tree(g)
+        assert m.shape == (70, 69) and m.dtype == np.uint8
+        edge_to = {b: (i, a) for i, (a, b) in enumerate(tree)}
+        for v in range(70):
+            path, u = set(), v
+            while u:
+                i, u = edge_to[u]
+                path.add(i)
+            assert set(np.flatnonzero(m[v]).tolist()) == path, v
 
     @pytest.mark.parametrize(
         "name",

@@ -36,6 +36,7 @@ from qegraph.spectra import (
 from qegraph.cli import format_matrix_text
 
 from conftest import (
+    count_eigensolves,
     floyd_warshall,
     glued_parts,
     int_form,
@@ -284,6 +285,93 @@ class TestIsPsd:
             assert c_order.certificate_value > 0
             assert f_order.certificate_value == c_order.certificate_value
             assert f_order.certificate == c_order.certificate
+
+
+def diagonal_cases(rng: np.random.Generator):
+    """Positive diagonals, (name, entries): the 2I of trees, integers,
+    non-dyadic floats, and floats whose largest entry sits at the ends of
+    the range in which LAPACK solves without rescaling."""
+    for n in (1, 2, 39, 46, 300):
+        yield "two-i", np.full(n, 2, dtype=np.int64)
+    for _ in range(80):
+        n = int(rng.integers(1, 60))
+        yield "integer", rng.integers(1, 2**40, n)
+        yield "non-dyadic", rng.uniform(0.1, 10.0, n) / 3
+        yield "top", np.ldexp(rng.uniform(0.5, 1.0, n), 484)
+        yield "bottom", np.ldexp(rng.uniform(0.5, 1.0, n), -483)
+
+
+class TestDiagonalFloatRule:
+    """Float and auto is_psd decide a diagonal matrix whose least entry
+    clears the auto window from its diagonal, with the evidence eigen_sym
+    would give, bit for bit, where LAPACK does not rescale the matrix."""
+
+    @staticmethod
+    def decide(monkeypatch, a, mode, tol=spectra.DEFAULT_TOLERANCES):
+        with monkeypatch.context() as mp:
+            calls = count_eigensolves(mp)
+            verdict = is_psd(a, mode=mode, tol=tol)
+        return verdict, calls
+
+    def test_evidence_is_the_eigensolvers_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(4817)
+        tol = Tolerances(psd_rel=2.0**-600)  # lets the smallest magnitudes clear the window
+        names = set()
+        for name, lam in diagonal_cases(rng):
+            a = np.diag(lam)
+            ref = eigen_sym(a).eigenvalues
+            assert np.array_equal(ref, np.sort(lam.astype(float))[::-1]), name
+            for mode in ("float", "auto"):
+                verdict, calls = self.decide(monkeypatch, a, mode, tol if name == "bottom" else spectra.DEFAULT_TOLERANCES)
+                assert calls == [], (name, mode)
+                assert verdict.is_psd and verdict.mode_used == "float" and verdict.certificate is None
+                assert verdict.lambda_min.hex() == float(ref[-1]).hex(), name
+                assert verdict.lambda_max.hex() == float(ref[0]).hex(), name
+            names.add(name)
+        assert names == {"two-i", "integer", "non-dyadic", "top", "bottom"}
+
+    def test_rescaled_magnitudes_go_to_the_eigensolver(self, monkeypatch):
+        # from 2**485 on and below 2**-485 LAPACK scales the matrix, and
+        # the eigenvalues it returns can differ from the diagonal entries
+        rng = np.random.default_rng(485)
+        tol = Tolerances(psd_rel=2.0**-700)
+        differs = 0
+        for exponent in (486, 600, 1000, -486, -600):
+            for _ in range(40):
+                lam = np.ldexp(rng.uniform(0.5, 1.0, int(rng.integers(2, 30))), exponent)
+                a = np.diag(lam)
+                verdict, calls = self.decide(monkeypatch, a, "float", tol)
+                assert calls == [len(lam)]
+                ref = eigen_sym(a).eigenvalues
+                assert verdict.lambda_min == ref[-1] and verdict.lambda_max == ref[0]
+                differs += not np.array_equal(ref, np.sort(lam)[::-1])
+        assert differs > 0
+
+    def test_a_zero_near_zero_or_negative_entry_goes_to_the_eigensolver(self, monkeypatch):
+        # (diagonal, float verdict, auto mode used, auto verdict); the auto
+        # window is 10 * 1e-9 * max(1, lambda_max)
+        cases = (
+            ([2, 0, 2], True, "exact", True),
+            ([2, 1e-9, 2], True, "exact", True),
+            ([2, 5e-9, 3], True, "exact", True),
+            ([2, -1e-12, 2], True, "exact", False),
+            ([2, -1, 2], False, "float", False),
+        )
+        for lam, float_psd, auto_mode, auto_psd in cases:
+            a = np.diag(np.array(lam, dtype=float))
+            verdict, calls = self.decide(monkeypatch, a, "float")
+            assert calls == [3] and verdict.is_psd == float_psd, lam
+            verdict, calls = self.decide(monkeypatch, a, "auto")
+            assert calls == [3] and (verdict.mode_used, verdict.is_psd) == (auto_mode, auto_psd), lam
+        # just clear of the window: decided from the diagonal
+        verdict, calls = self.decide(monkeypatch, np.diag([2.0, 4e-8, 3.0]), "auto")
+        assert calls == [] and verdict.mode_used == "float" and verdict.lambda_min == 4e-8
+
+    def test_one_off_diagonal_entry_goes_to_the_eigensolver(self, monkeypatch):
+        a = 2 * np.eye(12, dtype=np.int64)
+        a[3, 7] = a[7, 3] = 1
+        verdict, calls = self.decide(monkeypatch, a, "auto")
+        assert calls == [12] and verdict.is_psd and verdict.lambda_max > 2
 
 
 class TestExactIngestion:
@@ -719,6 +807,46 @@ class TestInt64Elimination:
             assert all(step > crossed[0] for step, is_float in scans[1:] if not is_float)
             checked += 1
         assert checked >= 20
+
+    def test_a_small_pivot_beside_large_row_entries_rescans(self, monkeypatch):
+        # the pivot p on a row of entries x, x**2 just below p * top, beside
+        # the singular block [[top, -top], [-top, top]]: the step keeps the
+        # live diagonal positive but writes -(p * top + x**2), about
+        # 2 * p * top, past 2**26, where a bound of (p * bound + bound) //
+        # prev would stay near (p + 1) * top, below it.  The running bound's
+        # bound**2 term makes the loop rescan there, leave float64, and
+        # hand off at 2**31 after the full scan's pivots
+        real_scan, real_list = spectra._magnitude, spectra._bareiss_certificate
+        states, scans, handoffs = [], [], []
+
+        def scan(a):
+            step = next(t for t, state in enumerate(states) if (state == as_python_ints(a)).all())
+            scans.append((step, a.dtype == np.float64))
+            return real_scan(a)
+
+        def spy(low, prev=1):
+            handoffs.append((len(low), prev))
+            return real_list(low, prev)
+
+        monkeypatch.setattr(spectra, "_magnitude", scan)
+        monkeypatch.setattr(spectra, "_bareiss_certificate", spy)
+        for p, n in ((2**12, 12), (4500, 16), (5000, 24)):
+            top = 2**26 // (2 * p) + 50
+            x = math.isqrt(p * top - 1)
+            assert (p + 1) * top + 1 < 2**26 <= p * top + x * x
+            a = top * np.eye(n, dtype=np.int64)
+            a[0, 0] = p
+            a[1, 2] = a[2, 1] = -top
+            a[0, 1] = a[1, 0] = a[0, 2] = a[2, 0] = x
+            states[:], pivots, crossed, handoff = full_scan_elimination(a)
+            assert pivots[0] == p and crossed == 1 and handoff == (2, p * top - x * x)
+            scans.clear()
+            handoffs.clear()
+            cert = spectra._bareiss_dense(a)
+            assert (1, True) in scans and all(not is_float for step, is_float in scans if step > 1)
+            assert handoffs == [(n - 2, handoff[1])]
+            assert cert == real_list(lower(a)) == list_loop_rescaling_lift(lower(a))
+            assert int_form(a, cert) < 0
 
     def test_entries_from_two_to_the_26_skip_the_float_stage(self, monkeypatch):
         # a block that starts in [2**26, 2**31) is eliminated as int64 from

@@ -509,14 +509,28 @@ class TestEmbedding:
         if not solves:
             assert emb.vectors.shape == (g.n, g.n - 1)
 
-    def test_random_trees_are_factored_by_cholesky(self, monkeypatch, rng):
+    def test_random_trees_are_embedded_by_their_root_paths(self, monkeypatch, rng):
+        # a tree's K = I is diagonal: its vectors are the root-path matrix,
+        # with no factorization, and equal bit for bit to those of the
+        # per-edge loop over K's Cholesky factor
         calls = count_eigensolves(monkeypatch)
-        for m in (2, 10, 40, 41):
+        factored = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or real(a))
+        for m in (1, 2, 10, 40, 41, 150):
             g, _ = part_graph(rng, "tree", m)
-            emb = reconstruct_embedding(g)
-            assert emb.vectors.shape == (m, m - 1)
-            assert embedding_error(emb.vectors, g) <= 1e-8
-        assert calls == []
+            label = list(range(m))
+            rng.shuffle(label)
+            for g in (g, Graph(m, tuple((label[a], label[b]) for a, b in g.edges))):
+                emb = reconstruct_embedding(g)
+                assert emb.vectors.shape == (m, m - 1)
+                assert embedding_error(emb.vectors, g) <= 1e-8
+                loop = np.zeros((m, m - 1))
+                edge_vecs = real(winkler_kernel(g).two_k / 2)
+                for (a, b), vec in zip(default_orientation_and_tree(g).tree_edges, edge_vecs):
+                    loop[b] = loop[a] + vec
+                assert emb.vectors.dtype == loop.dtype and emb.vectors.tobytes() == loop.tobytes(), m
+        assert calls == [] and factored == []
 
     def test_indefinite_kernel_falls_back_and_is_rejected(self, monkeypatch):
         calls = count_eigensolves(monkeypatch)
